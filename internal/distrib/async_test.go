@@ -151,7 +151,7 @@ func TestAsyncChaosDeterministicPartialFlushes(t *testing.T) {
 	}
 }
 
-// TestAsyncServerCountsDupAndPeerMismatch drives asyncCollectUploads over a
+// TestAsyncServerCountsDupAndPeerMismatch drives collectUploads over a
 // real bus transport and asserts the robustness counters: a duplicate upload
 // bumps the duplicate-drop counter, a misattributed upload (payload labeled
 // with another client's id) bumps the corrupt-drop counter, and neither
@@ -187,7 +187,7 @@ func TestAsyncServerCountsDupAndPeerMismatch(t *testing.T) {
 		send(bus.ClientConn(0), 0, 0) // valid, completes the buffer
 		rs := &roundStats{}
 		opts := &Options{ClientTimeout: 2 * time.Second}
-		_, report, roundErr, err := asyncCollectUploads(round, runner, rx, []int{0, 1}, fullRegistry(3), opts, comm.CodecFloat64, nil, true, rs)
+		_, report, roundErr, err := collectUploads(runner, rx, dispatchOf(round, nil, 0, 1), fullRegistry(3), opts, comm.CodecFloat64, true, rs, nil)
 		if err != nil || roundErr != nil {
 			t.Fatalf("errs = %v, %v", err, roundErr)
 		}
@@ -210,7 +210,7 @@ func TestAsyncServerCountsDupAndPeerMismatch(t *testing.T) {
 		send(bus.ClientConn(1), 1, 1)
 		send(bus.ClientConn(1), 1, 1)
 		send(bus.ClientConn(0), 0, 0)
-		_, _, roundErr, err := asyncCollectUploads(round, runner, rx, []int{0, 1}, fullRegistry(3), &Options{}, comm.CodecFloat64, nil, false, &roundStats{})
+		_, _, roundErr, err := collectUploads(runner, rx, dispatchOf(round, nil, 0, 1), fullRegistry(3), &Options{}, comm.CodecFloat64, false, &roundStats{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +225,7 @@ func TestAsyncServerCountsDupAndPeerMismatch(t *testing.T) {
 		rx := newReceiver(bus.ServerConn())
 		defer rx.stop()
 		send(bus.ClientConn(0), 0, 1)
-		_, _, roundErr, err := asyncCollectUploads(round, runner, rx, []int{0, 1}, fullRegistry(3), &Options{}, comm.CodecFloat64, nil, false, &roundStats{})
+		_, _, roundErr, err := collectUploads(runner, rx, dispatchOf(round, nil, 0, 1), fullRegistry(3), &Options{}, comm.CodecFloat64, false, &roundStats{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

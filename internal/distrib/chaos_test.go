@@ -250,7 +250,7 @@ func TestChaosServerRejectsStaleAndDuplicate(t *testing.T) {
 		rx := newReceiver(bus.ServerConn())
 		defer rx.stop()
 		sendRaw(bus.ClientConn(0), 0, round+5, round+5, 0) // stale round stamp
-		_, _, roundErr, err := collectUploads(round, runner, rx, []int{0, 1, 2}, fullRegistry(3), &Options{}, comm.CodecFloat64, nil, false, &roundStats{}, nil)
+		_, _, roundErr, err := collectUploads(runner, rx, dispatchOf(round, nil, 0, 1, 2), fullRegistry(3), &Options{}, comm.CodecFloat64, false, &roundStats{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +265,7 @@ func TestChaosServerRejectsStaleAndDuplicate(t *testing.T) {
 		rx := newReceiver(bus.ServerConn())
 		defer rx.stop()
 		sendRaw(bus.ClientConn(0), 0, round, round, 1) // payload claims client 1, conn is client 0
-		_, _, roundErr, err := collectUploads(round, runner, rx, []int{0, 1, 2}, fullRegistry(3), &Options{}, comm.CodecFloat64, nil, false, &roundStats{}, nil)
+		_, _, roundErr, err := collectUploads(runner, rx, dispatchOf(round, nil, 0, 1, 2), fullRegistry(3), &Options{}, comm.CodecFloat64, false, &roundStats{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +284,7 @@ func TestChaosServerRejectsStaleAndDuplicate(t *testing.T) {
 		sendRaw(bus.ClientConn(1), 1, round, round, 1)     // duplicate: dropped
 		rs := &roundStats{}
 		opts := &Options{ClientTimeout: 300 * time.Millisecond}
-		_, report, roundErr, err := collectUploads(round, runner, rx, []int{0, 1, 2}, fullRegistry(3), opts, comm.CodecFloat64, nil, true, rs, nil)
+		_, report, roundErr, err := collectUploads(runner, rx, dispatchOf(round, nil, 0, 1, 2), fullRegistry(3), opts, comm.CodecFloat64, true, rs, nil)
 		if err != nil || roundErr != nil {
 			t.Fatalf("errs = %v, %v", err, roundErr)
 		}
@@ -376,7 +376,7 @@ func TestChaosInt8UploadValidation(t *testing.T) {
 			rx := newReceiver(bus.ServerConn())
 			defer rx.stop()
 			send(bus.ClientConn(0), 0, payload)
-			_, _, roundErr, err := collectUploads(round, runner, rx, []int{0, 1, 2}, fullRegistry(3), &Options{}, comm.CodecInt8, ref, false, &roundStats{}, nil)
+			_, _, roundErr, err := collectUploads(runner, rx, dispatchOf(round, ref, 0, 1, 2), fullRegistry(3), &Options{}, comm.CodecInt8, false, &roundStats{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -408,7 +408,7 @@ func TestChaosInt8UploadValidation(t *testing.T) {
 		send(bus.ClientConn(1), 1, clean)
 		rs := &roundStats{}
 		opts := &Options{ClientTimeout: 300 * time.Millisecond}
-		uploads, _, roundErr, err := collectUploads(round, runner, rx, []int{0, 1, 2}, fullRegistry(3), opts, comm.CodecInt8, ref, true, rs, nil)
+		uploads, _, roundErr, err := collectUploads(runner, rx, dispatchOf(round, ref, 0, 1, 2), fullRegistry(3), opts, comm.CodecInt8, true, rs, nil)
 		if err != nil || roundErr != nil {
 			t.Fatalf("errs = %v, %v", err, roundErr)
 		}

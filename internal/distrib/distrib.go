@@ -10,6 +10,30 @@
 // internal/comm, so traffic totals differ from in-process runs while the
 // accuracy trajectory is bit-identical (payload values travel as float64).
 //
+// # One round path
+//
+// Every round — a synchronous round or an async buffer flush, on the flat
+// server or through the aggregator tree — runs the same three steps, driven
+// by one service loop whose per-round step yields either a cohort or an
+// engine flush plan:
+//
+//   - Open (openRound) builds one dispatch per shard, a
+//     transport.ShardAssign: the shard's members, the RoundStart bytes they
+//     receive, and the delta reference their uploads decode against. A
+//     synchronous round encodes its RoundStart once and every shard shares
+//     it; a flush gives each chosen client its own retained global.
+//   - Serve (serveShard) fans the dispatch's round opening, collects the
+//     shard's uploads through the one validation ladder (collectUploads)
+//     into an engine.Partial, and fans the round close.
+//   - Close (closeRound) merges the partials, staleness-weights them when a
+//     flush plan is present, runs Aggregate (or the compact merge), and
+//     encodes the round close.
+//
+// The flat server serves a single shard in-process and closes it directly.
+// A tree ships each dispatch to a leaf aggregator, which serves its shard
+// and digests the partial upward; the root merges the digests and runs the
+// same close.
+//
 // # Failure model
 //
 // By default the runtime is strict: any protocol violation, lost message, or
@@ -20,7 +44,9 @@
 // aggregate), a faults.Plan injects deterministic chaos beneath the
 // protocol, MinQuorum aborts rounds that heard from too few clients, and
 // Retry gives clients bounded exponential backoff on transient send
-// failures. Partial rounds are recorded in fl.History.Degraded and in the
+// failures. Strict mode is tolerant mode with every violation escalated
+// instead of counted (see disposition), so each validation ladder row is
+// written once. Partial rounds are recorded in fl.History.Degraded and in the
 // per-round obs Robustness trace, so degradation is measurable rather than
 // silent. Because every fault draw is a pure function of the plan seed and
 // the message coordinates, two tolerant runs with the same seed accept the
@@ -42,7 +68,6 @@ import (
 	"fedpkd/internal/fl"
 	"fedpkd/internal/fl/engine"
 	"fedpkd/internal/obs"
-	"fedpkd/internal/stats"
 	"fedpkd/internal/transport"
 )
 
@@ -304,21 +329,47 @@ func (rs *roundStats) reset() {
 	rs.digestDups.Store(0)
 }
 
+// disposition decides what a protocol violation does. Tolerant mode counts
+// it on the round's Robustness counter and drops the envelope; strict mode
+// escalates it, keeping the first violation as err, which ends the loop that
+// found it. Strict mode is tolerant mode with this one switch flipped, so
+// every violation row in a ladder is written once.
+type disposition struct {
+	tolerant bool
+	// err is the escalated violation, or a round abort no mode tolerates
+	// (a client-reported hook failure).
+	err error
+}
+
+// reject applies the disposition to one violation and reports whether the
+// caller may drop the envelope and carry on (always, when tolerant).
+func (d *disposition) reject(counter *atomic.Int64, err error) bool {
+	if d.tolerant {
+		counter.Add(1)
+		return true
+	}
+	if d.err == nil {
+		d.err = err
+	}
+	return false
+}
+
 // recordRobustness folds one tolerant round's failure profile into the
 // cumulative history (partial cohorts only) and the obs trace (always, so
-// healthy chaos rounds are visible too).
-func recordRobustness(t, expected int, runner *engine.Runner, rec *obs.Recorder, opts *Options, rp *roundReport, rs *roundStats, injected int64) {
+// healthy chaos rounds are visible too). expected is the round's scheduled
+// cohort: the registered online clients of a synchronous round, or the
+// chosen contributors of an async flush.
+func (s *Service) recordRobustness(t, expected int, rp *roundReport, injected int64) {
 	var crashed, timedOut []int
-	n := runner.Config().Env.Cfg.NumClients
 	inLost := make(map[int]bool, len(rp.lostShards))
 	for _, sh := range rp.lostShards {
 		inLost[sh] = true
 	}
 	for _, c := range rp.missing {
 		switch {
-		case opts.Faults.CrashesAt(c, t):
+		case s.opts.Faults.CrashesAt(c, t):
 			crashed = append(crashed, c)
-		case opts.Topology.Enabled() && inLost[ShardOf(c, n, opts.Topology.Shards)]:
+		case s.tree != nil && inLost[ShardOf(c, s.n, s.tree.topo.Shards)]:
 			// Lost with its whole shard: the per-shard detail in LostShards
 			// already accounts for it, so neither client list repeats it.
 		default:
@@ -326,9 +377,10 @@ func recordRobustness(t, expected int, runner *engine.Runner, rec *obs.Recorder,
 		}
 	}
 	if rp.cohort < expected || len(rp.lostShards) > 0 {
-		runner.RecordDegraded(fl.DegradedRound{Round: t, Cohort: rp.cohort, Expected: expected, Missing: rp.missing, LostShards: rp.lostShards})
+		s.runner.RecordDegraded(fl.DegradedRound{Round: t, Cohort: rp.cohort, Expected: expected, Missing: rp.missing, LostShards: rp.lostShards})
 	}
-	rec.SetRobustness(obs.Robustness{
+	rs := s.rs
+	s.rec.SetRobustness(obs.Robustness{
 		Cohort:         rp.cohort,
 		Expected:       expected,
 		TimedOut:       timedOut,
@@ -358,66 +410,23 @@ type roundReport struct {
 	lostShards []int
 }
 
-// serverRound runs the server side of one round: fan out RoundStart to the
-// round's cohort, collect uploads (all of them in strict mode, whatever
-// beats the deadline in tolerant mode), aggregate, fan out RoundEnd. A
+// flatRound serves round t (or async flush t) on the flat server: the open
+// step builds a single dispatch for the whole cohort, the leaf's own serve
+// body runs it in-process against the server inbox, and the close step runs
+// directly on the collected partial — no upper fabric, no digest encode. A
 // client-reported error aborts the round but still produces a RoundEnd so no
 // peer blocks forever.
-//
-// Round framing is billed for every cohort member regardless of delivery —
-// billing driven by Send outcomes would make traffic totals depend on crash
-// timing, breaking the same-seed-same-history guarantee.
-func serverRound(t int, runner *engine.Runner, conn transport.Conn, rx *receiver, cohort []int, reg *Registry, opts *Options, tolerant bool, rs *roundStats) (*roundReport, error) {
-	hooks := runner.Hooks()
-	ledger := runner.Ledger()
-	rc := runner.Context(t)
-
-	codec := runner.Codec()
-	coded := codec != comm.CodecFloat64
-	global, refParams := roundGlobal(t, runner)
-	payload, hasGlobal, startRaw, err := encodeRoundStart(t, codec, global)
+func (s *Service) flatRound(t int, cohort []int, plan *engine.AsyncFlushPlan) (contributors []int, report *roundReport, err error) {
+	assigns, err := s.openRound(t, [][]int{cohort}, plan)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	for _, c := range cohort {
-		e := &transport.Envelope{Kind: transport.KindRoundStart, From: -1, To: c, Round: t, Payload: payload}
-		sendErr := conn.Send(e)
-		billFraming(ledger, hasGlobal, coded, e.WireSize(), startRaw)
-		if sendErr != nil && !tolerant {
-			return nil, sendErr
-		}
-	}
-
-	uploads, report, roundErr, err := collectUploads(t, runner, rx, cohort, reg, opts, codec, refParams, tolerant, rs, nil)
-	if err != nil {
-		return report, err
-	}
-	if roundErr == nil && opts.MinQuorum > 0 && len(uploads) < opts.MinQuorum {
-		roundErr = fmt.Errorf("%w: round %d aggregated %d of %d required uploads", ErrQuorumNotMet, t, len(uploads), opts.MinQuorum)
-	}
-
-	var bcast *engine.Payload
-	if roundErr == nil && len(uploads) > 0 {
-		// Aggregate sees uploads sorted by client id, exactly like the
-		// in-process engine, so reductions are order-stable regardless of
-		// which goroutine finished first.
-		sort.Slice(uploads, func(i, j int) bool { return uploads[i].Client < uploads[j].Client })
-		bcast, roundErr = hooks.Aggregate(rc, uploads)
-	}
-
-	payload, hasBroadcast, endRaw, roundErr, fatal := buildRoundEnd(t, codec, bcast, roundErr)
-	if fatal != nil {
-		return report, fatal
-	}
-	for _, c := range cohort {
-		e := &transport.Envelope{Kind: transport.KindRoundEnd, From: -1, To: c, Round: t, Payload: payload}
-		sendErr := conn.Send(e)
-		billFraming(ledger, hasBroadcast, coded, e.WireSize(), endRaw)
-		if sendErr != nil && !tolerant && roundErr == nil {
-			return report, sendErr
-		}
-	}
-	return report, roundErr
+	report, err = s.serveShard(assigns[0], s.srx, func(part *engine.Partial, _ *roundReport, roundErr error) (*transport.ShardEnd, error) {
+		var se *transport.ShardEnd
+		se, contributors, roundErr = s.closeRound(t, []*engine.Partial{part}, plan, roundErr)
+		return se, roundErr
+	})
+	return contributors, report, err
 }
 
 // roundGlobal returns round t's front-loaded global with the active codec
@@ -437,8 +446,7 @@ func roundGlobal(t int, runner *engine.Runner) (global *engine.Payload, refParam
 
 // encodeRoundStart encodes one round-opening message carrying global (which
 // must already be codec-applied) and prices its raw-equivalent billing size
-// under a compressing codec. The flat server fans the result to the whole
-// cohort; a leaf aggregator fans the same bytes to its shard.
+// under a compressing codec.
 func encodeRoundStart(t int, codec comm.Codec, global *engine.Payload) (payload []byte, hasGlobal bool, startRaw int, err error) {
 	gw, err := transport.PayloadToWireIn(global, codec, nil)
 	if err != nil {
@@ -461,8 +469,7 @@ func encodeRoundStart(t int, codec comm.Codec, global *engine.Payload) (payload 
 // the broadcast when the round succeeded, the error text when it did not
 // (broadcasts are never delta-coded — receivers that missed RoundStart must
 // still decode them ref-free). Encode failures fold into the returned
-// roundErr; a non-nil fatal aborts the round with no close message, matching
-// the flat server's historical behavior.
+// roundErr; a non-nil fatal aborts the round with no close message.
 func buildRoundEnd(t int, codec comm.Codec, bcast *engine.Payload, roundErr error) (payload []byte, hasBroadcast bool, endRaw int, outRoundErr, fatal error) {
 	re := transport.RoundEnd{Round: t, Codec: uint8(codec)}
 	if roundErr == nil && bcast != nil {
@@ -494,10 +501,11 @@ func buildRoundEnd(t int, codec comm.Codec, bcast *engine.Payload, roundErr erro
 	return payload, re.HasBroadcast, endRaw, roundErr, nil
 }
 
-// billFraming bills one round-framing envelope exactly as the flat server
-// does: control traffic when it carries no knowledge, a wire/raw pair under
-// a compressing codec, a plain download otherwise. Leaves reuse it so a tree
-// run's client-plane ledger stays byte-identical to the flat run's.
+// billFraming bills one round-framing envelope: control traffic when it
+// carries no knowledge, a wire/raw pair under a compressing codec, a plain
+// download otherwise. The serve step bills through it for the flat server
+// and every leaf alike, so a tree run's client-plane ledger stays
+// byte-identical to the flat run's.
 func billFraming(ledger *comm.Ledger, hasPayload, coded bool, wire, raw int) {
 	switch {
 	case !hasPayload:
@@ -522,10 +530,16 @@ func rawWireSize(msg any, fallback int) int {
 	return (&transport.Envelope{Payload: b}).WireSize()
 }
 
-// collectUploads drains the server inbox until every awaited cohort member
-// has contributed, the deadline passes (tolerant), or a protocol violation
-// is found (strict). roundErr is a protocol-level failure that still gets a
-// RoundEnd; err is a transport-level failure that aborts the run.
+// collectUploads is the one upload validation ladder: the flat server and
+// every leaf, synchronous rounds and async flushes, collect through it. It
+// drains rx until every awaited member of the dispatch sa has contributed,
+// the deadline passes (tolerant), or a round error ends the round. roundErr
+// is a protocol-level failure that still gets a RoundEnd; err is a
+// transport-level failure that aborts the run.
+//
+// Each violation row is written once and handed to the round's disposition:
+// tolerant mode counts it (stale, unknown, corrupt, or dup) and drops the
+// envelope, strict mode escalates the first one into roundErr.
 //
 // Clients the shared fault schedule crashes this round are not awaited at
 // all — the deterministic equivalent of a failure detector, so a
@@ -535,31 +549,84 @@ func rawWireSize(msg any, fallback int) int {
 // arriving mid-round are queued into the registry (applied at the next
 // barrier) and billed as control bytes. Uploads from peers the registry does
 // not know surface ErrUnknownClient; uploads from registered peers outside
-// this round's cohort (offline per the availability trace) are stale.
+// the dispatch (offline per the availability trace, or not chosen for the
+// flush) are out-of-round traffic.
 //
-// sink, when non-nil, streams each surviving upload out instead of retaining
-// it (the returned uploads slice stays empty) — the compact tree reduction,
-// where a leaf folds uploads as they arrive and holds no per-client state. A
-// sink failure is an algorithm-level error and aborts the round like a
-// client-reported hook failure.
-func collectUploads(t int, runner *engine.Runner, rx *receiver, cohort []int, reg *Registry, opts *Options, codec comm.Codec, refParams []float64, tolerant bool, rs *roundStats, sink func(engine.Upload) error) (uploads []engine.Upload, report *roundReport, roundErr, err error) {
+// Each upload decodes against its member's delta reference: the member's
+// own Ref (an async flush's retained global) when set, the dispatch's shared
+// Ref otherwise. sink, when non-nil, streams each surviving upload out
+// instead of retaining it — the compact tree reduction, where a leaf folds
+// uploads as they arrive and holds no per-client state. A sink failure is an
+// algorithm-level error and aborts the round like a client-reported hook
+// failure. Without a sink the surviving uploads are returned sorted by
+// client id, the order Aggregate expects.
+func collectUploads(runner *engine.Runner, rx *receiver, sa *transport.ShardAssign, reg *Registry, opts *Options, codec comm.Codec, tolerant bool, rs *roundStats, sink func(engine.Upload) error) (uploads []engine.Upload, report *roundReport, roundErr, err error) {
+	t := sa.Round
 	ledger := runner.Ledger()
 	n := runner.Config().Env.Cfg.NumClients
-	uploads = make([]engine.Upload, 0, len(cohort))
-	seen := make(map[int]bool, len(cohort))
-	inCohort := make(map[int]bool, len(cohort))
+	member := make(map[int]int, len(sa.Clients))
+	seen := make(map[int]bool, len(sa.Clients))
 	await := 0
-	for _, c := range cohort {
-		inCohort[c] = true
-		if !opts.Faults.CrashesAt(c, t) {
+	for i, cs := range sa.Clients {
+		member[cs.Client] = i
+		if !opts.Faults.CrashesAt(cs.Client, t) {
 			await++
 		}
 	}
+	if sink == nil {
+		uploads = make([]engine.Upload, 0, len(sa.Clients))
+	}
+
+	// check runs one envelope down the ladder's rows in order, returning the
+	// decoded upload or the first violated row: the counter tolerant mode
+	// bumps and the error strict mode raises.
+	check := func(e *transport.Envelope) (*transport.RoundUpload, *atomic.Int64, error) {
+		switch {
+		case e.Kind != transport.KindUpload:
+			return nil, &rs.stale, fmt.Errorf("%w: unexpected message kind %v during round %d", ErrStaleEnvelope, e.Kind, t)
+		case e.Round != t:
+			return nil, &rs.stale, fmt.Errorf("%w: upload for round %d during round %d", ErrStaleEnvelope, e.Round, t)
+		case e.From < 0 || e.From >= n:
+			return nil, &rs.stale, fmt.Errorf("%w: upload from unknown peer %d", ErrPeerMismatch, e.From)
+		case !reg.Has(e.From):
+			return nil, &rs.unknown, fmt.Errorf("%w: upload from unregistered peer %d in round %d", ErrUnknownClient, e.From, t)
+		}
+		ru := &transport.RoundUpload{}
+		if err := transport.Decode(e.Payload, ru); err != nil {
+			return nil, &rs.corrupt, err
+		}
+		// Validate rejects malformed sections, including non-finite raw
+		// values (transport.ErrNonFinite), before the client counts as heard.
+		if err := ru.Validate(); err != nil {
+			return nil, &rs.corrupt, err
+		}
+		_, inSet := member[ru.Client]
+		switch {
+		case ru.HasPayload && ru.Payload.Codec != uint8(codec):
+			return nil, &rs.corrupt, fmt.Errorf("%w: upload from peer %d coded %d, round %d negotiated %d",
+				ErrCodecMismatch, e.From, ru.Payload.Codec, t, uint8(codec))
+		case ru.Client != e.From:
+			// Also covers a client id outside the universe: e.From is in it.
+			return nil, &rs.corrupt, fmt.Errorf("%w: upload labeled client %d arrived from peer %d", ErrPeerMismatch, ru.Client, e.From)
+		case !inSet:
+			// Registered but not scheduled this round (offline per the
+			// availability trace, joined after the barrier, or not chosen
+			// for the flush).
+			return nil, &rs.corrupt, fmt.Errorf("%w: upload from client %d outside round %d's dispatch", ErrStaleEnvelope, ru.Client, t)
+		case ru.Round != t:
+			return nil, &rs.stale, fmt.Errorf("%w: upload payload stamped round %d during round %d", ErrStaleEnvelope, ru.Round, t)
+		case seen[ru.Client]:
+			return nil, &rs.dup, fmt.Errorf("%w: client %d", ErrDuplicateUpload, ru.Client)
+		}
+		return ru, nil, nil
+	}
+
+	d := disposition{tolerant: tolerant}
 	var deadline time.Time
 	if opts.ClientTimeout > 0 {
 		deadline = time.Now().Add(opts.ClientTimeout)
 	}
-	for await > 0 && roundErr == nil {
+	for await > 0 && d.err == nil {
 		wait := time.Duration(0)
 		if !deadline.IsZero() {
 			wait = time.Until(deadline)
@@ -578,7 +645,7 @@ func collectUploads(t int, runner *engine.Runner, rx *receiver, cohort []int, re
 			continue
 		}
 		if rerr != nil {
-			return nil, report, nil, fmt.Errorf("server recv: %w", rerr)
+			return nil, nil, nil, fmt.Errorf("server recv: %w", rerr)
 		}
 		if e.Kind == transport.KindHello || e.Kind == transport.KindGoodbye {
 			// Registration is legitimate mid-round traffic in both modes:
@@ -591,105 +658,9 @@ func collectUploads(t int, runner *engine.Runner, rx *receiver, cohort []int, re
 			ledger.AddControl(e.WireSize())
 			continue
 		}
-		if e.Kind != transport.KindUpload {
-			if tolerant {
-				rs.stale.Add(1)
-				continue
-			}
-			roundErr = fmt.Errorf("distrib: unexpected message kind %v", e.Kind)
-			continue
-		}
-		if e.Round != t {
-			if tolerant {
-				rs.stale.Add(1)
-				continue
-			}
-			roundErr = fmt.Errorf("%w: upload for round %d during round %d", ErrStaleEnvelope, e.Round, t)
-			continue
-		}
-		if e.From < 0 || e.From >= n {
-			if tolerant {
-				rs.stale.Add(1)
-				continue
-			}
-			roundErr = fmt.Errorf("%w: upload from unknown peer %d", ErrPeerMismatch, e.From)
-			continue
-		}
-		if !reg.Has(e.From) {
-			if tolerant {
-				rs.unknown.Add(1)
-				continue
-			}
-			roundErr = fmt.Errorf("%w: upload from unregistered peer %d in round %d", ErrUnknownClient, e.From, t)
-			continue
-		}
-		var ru transport.RoundUpload
-		if derr := transport.Decode(e.Payload, &ru); derr != nil {
-			if tolerant {
-				rs.corrupt.Add(1)
-				continue
-			}
-			roundErr = derr
-			continue
-		}
-		if verr := ru.Validate(); verr != nil {
-			if tolerant {
-				rs.corrupt.Add(1)
-				continue
-			}
-			roundErr = verr
-			continue
-		}
-		if ru.HasPayload && ru.Payload.Codec != uint8(codec) {
-			if tolerant {
-				rs.corrupt.Add(1)
-				continue
-			}
-			roundErr = fmt.Errorf("%w: upload from peer %d coded %d, round %d negotiated %d",
-				ErrCodecMismatch, e.From, ru.Payload.Codec, t, uint8(codec))
-			continue
-		}
-		if ru.Client < 0 || ru.Client >= n {
-			if tolerant {
-				rs.corrupt.Add(1)
-				continue
-			}
-			roundErr = fmt.Errorf("distrib: client id %d out of range (%d clients)", ru.Client, n)
-			continue
-		}
-		if ru.Client != e.From {
-			if tolerant {
-				rs.corrupt.Add(1)
-				continue
-			}
-			roundErr = fmt.Errorf("%w: upload labeled client %d arrived from peer %d", ErrPeerMismatch, ru.Client, e.From)
-			continue
-		}
-		if !inCohort[ru.Client] {
-			// Registered but not scheduled this round (offline per the
-			// availability trace, or joined after the barrier): the upload is
-			// out-of-round traffic.
-			if tolerant {
-				rs.stale.Add(1)
-				continue
-			}
-			roundErr = fmt.Errorf("%w: upload from client %d outside round %d's cohort", ErrStaleEnvelope, ru.Client, t)
-			continue
-		}
-		if ru.Round != t {
-			if tolerant {
-				rs.stale.Add(1)
-				continue
-			}
-			roundErr = fmt.Errorf("%w: upload payload stamped round %d during round %d", ErrStaleEnvelope, ru.Round, t)
-			continue
-		}
-		if seen[ru.Client] {
-			if tolerant {
-				rs.dup.Add(1)
-				continue
-			}
-			roundErr = fmt.Errorf("%w: client %d", ErrDuplicateUpload, ru.Client)
+		ru, counter, verr := check(e)
+		if verr != nil {
+			d.reject(counter, verr)
 			continue
 		}
 		seen[ru.Client] = true
@@ -697,19 +668,19 @@ func collectUploads(t int, runner *engine.Runner, rx *receiver, cohort []int, re
 		if ru.Err != "" {
 			// A client-side hook failure aborts the round in both modes: the
 			// failure model covers the infrastructure, not the algorithm.
-			roundErr = fmt.Errorf("distrib: client %d: %s", ru.Client, ru.Err)
+			d.err = fmt.Errorf("distrib: client %d: %s", ru.Client, ru.Err)
 			continue
 		}
 		if !ru.HasPayload {
 			continue
 		}
-		p, perr := ru.Payload.ToPayloadRef(refParams)
+		ref := sa.Clients[member[ru.Client]].Ref
+		if ref == nil {
+			ref = sa.Ref
+		}
+		p, perr := ru.Payload.ToPayloadRef(ref)
 		if perr != nil {
-			if tolerant {
-				rs.corrupt.Add(1)
-				continue
-			}
-			roundErr = perr
+			d.reject(&rs.corrupt, perr)
 			continue
 		}
 		if codec == comm.CodecFloat64 {
@@ -722,19 +693,20 @@ func collectUploads(t int, runner *engine.Runner, rx *receiver, cohort []int, re
 		}
 		if sink != nil {
 			if serr := sink(engine.Upload{Client: ru.Client, Payload: p}); serr != nil {
-				roundErr = serr
+				d.err = serr
 			}
 			continue
 		}
 		uploads = append(uploads, engine.Upload{Client: ru.Client, Payload: p})
 	}
+	sort.Slice(uploads, func(i, j int) bool { return uploads[i].Client < uploads[j].Client })
 	missing := make([]int, 0)
-	for _, c := range cohort {
-		if !seen[c] {
-			missing = append(missing, c)
+	for _, cs := range sa.Clients {
+		if !seen[cs.Client] {
+			missing = append(missing, cs.Client)
 		}
 	}
-	return uploads, &roundReport{cohort: len(cohort) - len(missing), missing: missing}, roundErr, nil
+	return uploads, &roundReport{cohort: len(sa.Clients) - len(missing), missing: missing}, d.err, nil
 }
 
 // clientPeer is one client worker's connection state: the fault-wrapped
@@ -782,32 +754,20 @@ func clientWorker(p *clientPeer, runner *engine.Runner, rec *obs.Recorder, opts 
 	}
 }
 
-// gateClient validates a server→client envelope against the current round.
-// ok=false with a nil error means the envelope was counted and dropped
-// (tolerant mode).
-func gateClient(id, t int, e *transport.Envelope, tolerant bool, rs *roundStats) (ok bool, err error) {
-	if e.From != -1 || e.To != id {
-		if tolerant {
-			rs.stale.Add(1)
-			return false, nil
-		}
-		return false, fmt.Errorf("%w: client %d got envelope from %d to %d", ErrPeerMismatch, id, e.From, e.To)
+// gateClient validates a server→client envelope against the current round:
+// it must be addressed server→id, stamped t, and a RoundEnd — or a
+// RoundStart while startOK (the client has not uploaded yet). Every row is
+// stale traffic under the client's disposition.
+func gateClient(id, t int, e *transport.Envelope, startOK bool) error {
+	switch {
+	case e.From != -1 || e.To != id:
+		return fmt.Errorf("%w: client %d got envelope from %d to %d", ErrPeerMismatch, id, e.From, e.To)
+	case e.Round != t:
+		return fmt.Errorf("%w: client %d got round %d envelope during round %d", ErrStaleEnvelope, id, e.Round, t)
+	case e.Kind != transport.KindRoundEnd && (e.Kind != transport.KindRoundStart || !startOK):
+		return fmt.Errorf("%w: client %d got unexpected message kind %v", ErrStaleEnvelope, id, e.Kind)
 	}
-	if e.Round != t {
-		if tolerant {
-			rs.stale.Add(1)
-			return false, nil
-		}
-		return false, fmt.Errorf("%w: client %d got round %d envelope during round %d", ErrStaleEnvelope, id, e.Round, t)
-	}
-	if e.Kind != transport.KindRoundStart && e.Kind != transport.KindRoundEnd {
-		if tolerant {
-			rs.stale.Add(1)
-			return false, nil
-		}
-		return false, fmt.Errorf("client %d: unexpected message kind %v", id, e.Kind)
-	}
-	return true, nil
+	return nil
 }
 
 // clientRound runs one client round: receive RoundStart, train, upload,
@@ -830,6 +790,7 @@ func clientRound(p *clientPeer, t int, runner *engine.Runner, rec *obs.Recorder,
 	}
 	hooks := runner.Hooks()
 	rc := runner.Context(t)
+	d := disposition{tolerant: tolerant}
 
 	var wait time.Duration
 	if opts.ClientTimeout > 0 {
@@ -847,12 +808,11 @@ func clientRound(p *clientPeer, t int, runner *engine.Runner, rec *obs.Recorder,
 		if err != nil {
 			return fmt.Errorf("client %d recv: %w", p.id, err)
 		}
-		ok, gerr := gateClient(p.id, t, e, tolerant, rs)
-		if gerr != nil {
+		if gerr := gateClient(p.id, t, e, true); gerr != nil {
+			if d.reject(&rs.stale, gerr) {
+				continue
+			}
 			return gerr
-		}
-		if !ok {
-			continue
 		}
 		if e.Kind == transport.KindRoundEnd {
 			// RoundStart was lost in transit: no training this round, go
@@ -861,34 +821,22 @@ func clientRound(p *clientPeer, t int, runner *engine.Runner, rec *obs.Recorder,
 			break
 		}
 		var startMsg transport.RoundStart
-		if derr := transport.Decode(e.Payload, &startMsg); derr != nil {
-			if tolerant {
-				rs.corrupt.Add(1)
-				continue
-			}
-			return derr
-		}
-		if verr := startMsg.Validate(); verr != nil {
-			if tolerant {
-				rs.corrupt.Add(1)
-				continue
-			}
-			return verr
-		}
-		roundCodec := comm.Codec(startMsg.Codec)
 		var global *engine.Payload
-		if startMsg.HasGlobal {
-			var perr error
+		err = transport.Decode(e.Payload, &startMsg)
+		if err == nil {
+			err = startMsg.Validate()
+		}
+		if err == nil && startMsg.HasGlobal {
 			// Globals are never delta-coded, so the ref-free decode always
 			// applies; the decoded (quantized) params double as the delta
 			// reference for this client's upload.
-			if global, perr = startMsg.Global.ToPayload(); perr != nil {
-				if tolerant {
-					rs.corrupt.Add(1)
-					continue
-				}
-				return perr
+			global, err = startMsg.Global.ToPayload()
+		}
+		if err != nil {
+			if d.reject(&rs.corrupt, err) {
+				continue
 			}
+			return err
 		}
 		var refParams []float64
 		if global != nil {
@@ -902,7 +850,7 @@ func clientRound(p *clientPeer, t int, runner *engine.Runner, rec *obs.Recorder,
 			roundErr = uerr
 			ru.Err = uerr.Error()
 		} else if up != nil {
-			if w, werr := transport.PayloadToWireIn(up, roundCodec, refParams); werr != nil {
+			if w, werr := transport.PayloadToWireIn(up, comm.Codec(startMsg.Codec), refParams); werr != nil {
 				roundErr = werr
 				ru.Err = werr.Error()
 			} else {
@@ -910,13 +858,10 @@ func clientRound(p *clientPeer, t int, runner *engine.Runner, rec *obs.Recorder,
 				ru.Payload = w
 			}
 		}
-		if serr := p.sendUpload(t, ru, opts, tolerant, rs); serr != nil {
-			if tolerant && errors.Is(serr, faults.ErrTransient) {
-				// The upload was lost to chaos after exhausting retries;
-				// the server's deadline covers the gap.
-			} else if roundErr == nil {
-				roundErr = serr
-			}
+		// An upload lost to chaos after exhausting its retries is covered by
+		// the server's deadline; any other send failure fails the round.
+		if serr := p.sendUpload(t, ru, opts, rs); serr != nil && !errors.Is(serr, faults.ErrTransient) && roundErr == nil {
+			roundErr = serr
 		}
 		uploaded = true
 	}
@@ -932,37 +877,28 @@ func clientRound(p *clientPeer, t int, runner *engine.Runner, rec *obs.Recorder,
 			}
 			return fmt.Errorf("client %d recv: %w", p.id, err)
 		}
-		ok, gerr := gateClient(p.id, t, e, tolerant, rs)
-		if gerr != nil {
+		// A duplicated RoundStart after the upload is stale traffic here.
+		if gerr := gateClient(p.id, t, e, false); gerr != nil {
+			if d.reject(&rs.stale, gerr) {
+				continue
+			}
 			if roundErr != nil {
 				return roundErr
 			}
 			return gerr
 		}
-		if !ok {
-			continue
-		}
-		if e.Kind != transport.KindRoundEnd {
-			if tolerant {
-				rs.stale.Add(1) // duplicated RoundStart after upload
-				continue
-			}
-			return fmt.Errorf("client %d: unexpected message kind %v", p.id, e.Kind)
-		}
 		endEnv = e
 	}
 
 	var re transport.RoundEnd
-	if err := transport.Decode(endEnv.Payload, &re); err != nil {
-		if tolerant {
-			rs.corrupt.Add(1)
-			return roundErr
-		}
-		return err
+	err := transport.Decode(endEnv.Payload, &re)
+	if err == nil {
+		// Validate rejects a non-finite broadcast (transport.ErrNonFinite)
+		// like any other malformed close.
+		err = re.Validate()
 	}
-	if err := re.Validate(); err != nil {
-		if tolerant {
-			rs.corrupt.Add(1)
+	if err != nil {
+		if d.reject(&rs.corrupt, err) {
 			return roundErr
 		}
 		return err
@@ -978,8 +914,7 @@ func clientRound(p *clientPeer, t int, runner *engine.Runner, rec *obs.Recorder,
 	}
 	bcast, err := re.Broadcast.ToPayload()
 	if err != nil {
-		if tolerant {
-			rs.corrupt.Add(1)
+		if d.reject(&rs.corrupt, err) {
 			return nil
 		}
 		return err
@@ -990,36 +925,15 @@ func clientRound(p *clientPeer, t int, runner *engine.Runner, rec *obs.Recorder,
 	return derr
 }
 
-// sendUpload encodes and sends one RoundUpload, retrying transient failures
-// with deterministic exponential backoff. The jitter stream is keyed by
-// (seed, round, client) in a label band disjoint from every other RNG
-// consumer, so retry schedules never perturb training draws.
-func (p *clientPeer) sendUpload(t int, ru transport.RoundUpload, opts *Options, tolerant bool, rs *roundStats) error {
+// sendUpload encodes and sends one RoundUpload, retrying injected transient
+// failures under the run's backoff on the conn's own jitter stream.
+func (p *clientPeer) sendUpload(t int, ru transport.RoundUpload, opts *Options, rs *roundStats) error {
 	payload, err := transport.Encode(ru)
 	if err != nil {
 		return err
 	}
 	e := &transport.Envelope{Kind: transport.KindUpload, From: p.id, To: -1, Round: t, Payload: payload}
-	b := opts.Retry.WithDefaults()
-	var rng *stats.RNG
-	for attempt := 1; ; attempt++ {
-		err := p.conn.Send(e)
-		if err == nil {
-			return nil
-		}
-		if !tolerant || !errors.Is(err, faults.ErrTransient) || attempt >= b.Attempts {
-			return err
-		}
-		if rng == nil {
-			var seed uint64
-			if opts.Faults != nil {
-				seed = opts.Faults.Seed
-			}
-			rng = stats.Split(seed, uint64(t)*1000+600+uint64(p.id))
-		}
-		rs.retries.Add(1)
-		time.Sleep(b.Delay(attempt, rng))
-	}
+	return p.conn.SendRetry(e, opts.Retry, func() { rs.retries.Add(1) })
 }
 
 // receiver pumps a Conn into a channel so callers can apply deadlines to

@@ -1,24 +1,21 @@
 package distrib
 
 import (
-	"errors"
 	"fmt"
-	"time"
 
 	"fedpkd/internal/comm"
-	"fedpkd/internal/faults"
 	"fedpkd/internal/fl/engine"
 	"fedpkd/internal/obs"
-	"fedpkd/internal/stats"
 	"fedpkd/internal/transport"
 )
 
-// Leaf aggregator: one shard's server. Each round the leaf receives a shard
-// assignment from the root, fans the round-opening envelopes to its cohort
-// slice (the exact bytes the root encoded, billed exactly as the flat server
-// bills), collects the shard's uploads through the demultiplexed inbox with
-// the same validation ladder the flat server runs, stream-reduces them into
-// an engine.Partial, digests the reduction upward, and fans the root's
+// Leaf aggregator: one shard's server. Each round the leaf receives its
+// dispatch (a shard assignment) from the root and runs serveShard on it —
+// the same fan/collect/fan-end body the flat server runs over its single
+// shard: fan the round-opening envelopes (the exact bytes the root encoded,
+// billed exactly as the flat server bills), collect the shard's uploads
+// through the demultiplexed inbox with the one validation ladder, reduce
+// them into an engine.Partial, digest the partial upward, and fan the root's
 // round-close back down. The leaf retains no per-client state beyond the
 // partial: exact mode holds the shard's surviving uploads (O(shard)),
 // compact mode a single running sum (O(1)).
@@ -48,11 +45,6 @@ func (s *Service) leafRound(shard, t int, up transport.Conn, rx *receiver) error
 		s.fstats.CountLeafCrash()
 		return s.leafCrashRestart(shard, t, up, rx)
 	}
-	runner := s.runner
-	ledger := runner.Ledger()
-	codec := runner.Codec()
-	coded := codec != comm.CodecFloat64
-
 	sa, assignErr := awaitAssign(shard, t, up)
 	if sa == nil {
 		// Not even an envelope: the fabric is gone and the root knows.
@@ -66,16 +58,45 @@ func (s *Service) leafRound(shard, t int, up transport.Conn, rx *receiver) error
 		_, _ = awaitShardEnd(shard, t, up)
 		return assignErr
 	}
+	_, err := s.serveShard(sa, rx, func(part *engine.Partial, report *roundReport, digestErr error) (*transport.ShardEnd, error) {
+		stop := s.rec.Span(obs.PhaseLeafReduce)
+		d := buildDigest(t, shard, part, report, digestErr)
+		stop()
+		s.sendDigest(t, shard, d)
+		se, err := awaitShardEnd(shard, t, up)
+		if err != nil {
+			// The root's close never arrived (torn fabric mid-round): fan a
+			// locally built error close so the shard's clients unpark.
+			end, _ := transport.Encode(transport.RoundEnd{Round: t, Codec: uint8(s.runner.Codec()),
+				Err: fmt.Sprintf("distrib: leaf %d lost the root: %v", shard, err)})
+			return &transport.ShardEnd{End: end}, err
+		}
+		return se, nil
+	})
+	return err
+}
 
-	cohort := make([]int, len(sa.Clients))
-	for i, cs := range sa.Clients {
-		cohort[i] = cs.Client
-	}
+// serveShard serves one shard of round sa.Round: the body the flat server
+// and every leaf share. It fans the dispatch's round opening to the shard's
+// members — shared bytes for a synchronous round, per-member retained
+// globals for an async flush — collects their uploads through the ladder
+// into an engine.Partial (streamed into the algorithm's CompactReducer in
+// compact mode, collected and sorted once otherwise), hands the partial and
+// the shard's report to finish, and fans the round close finish returns.
+// finish receives the round error so far (a collect-time round error, or
+// the fatal one that skipped collection) and returns the close to fan plus
+// the error the shard must report; a nil close fans nothing.
+//
+// Framing is billed for every member regardless of delivery, so traffic
+// totals never depend on crash timing. A strict-mode send failure is fatal
+// but the fan continues, so every member's framing is billed the same way.
+func (s *Service) serveShard(sa *transport.ShardAssign, rx *receiver, finish func(*engine.Partial, *roundReport, error) (*transport.ShardEnd, error)) (*roundReport, error) {
+	t := sa.Round
+	runner := s.runner
+	ledger := runner.Ledger()
+	codec := runner.Codec()
+	coded := codec != comm.CodecFloat64
 
-	// Fan the round opening: shared payload for a synchronous round,
-	// per-client retained globals for an async flush. Framing is billed for
-	// every cohort member regardless of delivery, like the flat server, so
-	// traffic totals never depend on crash timing.
 	var fatal error
 	for _, cs := range sa.Clients {
 		payload, hasGlobal, raw := sa.Start, sa.HasGlobal, sa.StartRaw
@@ -90,66 +111,50 @@ func (s *Service) leafRound(shard, t int, up transport.Conn, rx *receiver) error
 		}
 	}
 
-	part, perr := runner.NewPartial(shard, sa.Compact)
-	if perr != nil && fatal == nil {
+	part, perr := runner.NewPartial(sa.Shard, sa.Compact)
+	if fatal == nil {
 		fatal = perr
 	}
-
 	var report *roundReport
 	var roundErr error
 	if fatal == nil {
-		// Collect and reduce. On a strict-mode fan failure above this is
-		// skipped — clients that never saw RoundStart will not upload, and
-		// strict collection has no deadline to save us.
-		var cerr error
-		report, roundErr, cerr = s.collectShard(t, sa, cohort, part, rx)
-		if cerr != nil && fatal == nil {
-			fatal = cerr
+		// Skipped on a strict-mode fan failure: members that never saw
+		// RoundStart will not upload, and strict collection has no deadline.
+		var sink func(engine.Upload) error
+		if part.Compact {
+			sink = func(u engine.Upload) error { return runner.PartialReduce(part, u) }
 		}
+		part.Uploads, report, roundErr, fatal = collectUploads(runner, rx, sa, s.reg, &s.opts, codec, s.tolerant, s.rs, sink)
 	}
 	if report == nil {
-		report = &roundReport{missing: cohort}
-	}
-
-	digestErr := roundErr
-	if fatal != nil {
-		digestErr = fatal
-	}
-	stop := s.rec.Span(obs.PhaseLeafReduce)
-	d := buildDigest(t, shard, part, report, digestErr)
-	stop()
-	s.sendDigest(t, shard, d)
-
-	se, seErr := awaitShardEnd(shard, t, up)
-	var endPayload []byte
-	hasBroadcast := false
-	endRaw := 0
-	if seErr != nil {
-		// The root's close never arrived (torn fabric mid-round): fan a
-		// locally built error close so the shard's clients unpark.
-		re := transport.RoundEnd{Round: t, Codec: uint8(codec),
-			Err: fmt.Sprintf("distrib: leaf %d lost the root: %v", shard, seErr)}
-		endPayload, _ = transport.Encode(re)
-		if fatal == nil {
-			fatal = seErr
+		report = &roundReport{missing: make([]int, len(sa.Clients))}
+		for i, cs := range sa.Clients {
+			report.missing[i] = cs.Client
 		}
-	} else {
-		endPayload, hasBroadcast, endRaw = se.End, se.HasBroadcast, se.EndRaw
 	}
-	if endPayload != nil {
-		for _, c := range cohort {
-			env := &transport.Envelope{Kind: transport.KindRoundEnd, From: -1, To: c, Round: t, Payload: endPayload}
+
+	finishErr := roundErr
+	if fatal != nil {
+		finishErr = fatal
+	}
+	se, err := finish(part, report, finishErr)
+	if fatal == nil {
+		fatal = err
+	}
+	if se != nil && se.End != nil {
+		for _, cs := range sa.Clients {
+			env := &transport.Envelope{Kind: transport.KindRoundEnd, From: -1, To: cs.Client, Round: t, Payload: se.End}
 			sendErr := s.tr.server.Send(env)
-			billFraming(ledger, hasBroadcast, coded, env.WireSize(), endRaw)
+			billFraming(ledger, se.HasBroadcast, coded, env.WireSize(), se.EndRaw)
 			if sendErr != nil && !s.tolerant && fatal == nil && roundErr == nil {
 				fatal = sendErr
 			}
 		}
 	}
 	if fatal != nil {
-		return fatal
+		return report, fatal
 	}
-	return roundErr
+	return report, roundErr
 }
 
 // leafCrashRestart executes one injected leaf crash: the leaf serves nothing
@@ -159,7 +164,7 @@ func (s *Service) leafRound(shard, t int, up transport.Conn, rx *receiver) error
 // the close the root fans to lost shards too) so the tier link carries no
 // stale traffic into the next round, then drops whatever its client-plane
 // inbox buffered — the restarted-process semantics clientPeer.restart gives
-// the bus — and rejoins at the next round, where collectShard re-collects
+// the bus — and rejoins at the next round, where serveShard re-collects
 // the shard's uploads through the usual validation ladder.
 func (s *Service) leafCrashRestart(shard, t int, up transport.Conn, rx *receiver) error {
 	for {
@@ -177,41 +182,6 @@ func (s *Service) leafCrashRestart(shard, t int, up transport.Conn, rx *receiver
 	}
 	rx.drain()
 	return nil
-}
-
-// collectShard runs the shard's upload collection: the synchronous ladder
-// with a streaming sink into the partial, or the flush ladder followed by an
-// arrival-order fold (exact partials sort on insert, so the digest is
-// deterministic either way). report/roundErr/infra mirror the flat collect's
-// triple.
-func (s *Service) collectShard(t int, sa *transport.ShardAssign, cohort []int, part *engine.Partial, rx *receiver) (*roundReport, error, error) {
-	runner := s.runner
-	codec := runner.Codec()
-	sink := func(u engine.Upload) error { return runner.PartialReduce(part, u) }
-	if !sa.Flush {
-		_, report, roundErr, err := collectUploads(t, runner, rx, cohort, s.reg, &s.opts, codec, sa.Ref, s.tolerant, s.rs, sink)
-		return report, roundErr, err
-	}
-	refByClient := make(map[int][]float64, len(sa.Clients))
-	for _, cs := range sa.Clients {
-		ref := cs.Ref
-		if ref == nil {
-			ref = sa.Ref
-		}
-		if ref != nil {
-			refByClient[cs.Client] = ref
-		}
-	}
-	uploads, report, roundErr, err := asyncCollectUploads(t, runner, rx, cohort, s.reg, &s.opts, codec, refByClient, s.tolerant, s.rs)
-	if err != nil || roundErr != nil {
-		return report, roundErr, err
-	}
-	for _, u := range uploads {
-		if perr := runner.PartialReduce(part, u); perr != nil {
-			return report, perr, nil
-		}
-	}
-	return report, nil, nil
 }
 
 // buildDigest renders the shard's reduction and membership report as the
@@ -246,37 +216,21 @@ func buildDigest(t, shard int, part *engine.Partial, report *roundReport, digest
 // sendDigest ships one digest upward and bills the tier backhaul. An encode
 // failure degrades to an empty payload — the root's decode then fails the
 // round, which still unblocks its collect; silence would burn the whole
-// LeafTimeout. Injected transient send failures are retried with the same
-// deterministic backoff the clients use, on a jitter stream disjoint from
-// every other RNG consumer; each attempt is billed (attempt counts are a
-// pure function of the plan, so billing stays replay-stable). Real send
-// failures only happen when the fabric is tearing down, and then the root's
-// collect errors on its own.
+// LeafTimeout. Injected transient send failures are retried under the run's
+// backoff on the leaf conn's own jitter stream; each attempt is billed
+// (attempt counts are a pure function of the plan, so billing stays
+// replay-stable). Real send failures only happen when the fabric is tearing
+// down, and then the root's collect errors on its own.
 func (s *Service) sendDigest(t, shard int, d *transport.ShardDigest) {
-	payload, err := transport.Encode(d)
-	if err != nil {
-		payload = nil
-	}
+	payload, _ := transport.Encode(d) // nil on failure, see above
 	env := &transport.Envelope{Kind: transport.KindShardDigest, From: shard, To: -1, Round: t, Payload: payload}
-	b := s.opts.Retry.WithDefaults()
-	var rng *stats.RNG
-	for attempt := 1; ; attempt++ {
-		sendErr := s.tree.leafUp[shard].Send(env)
-		s.runner.Ledger().AddTierUp(env.WireSize())
-		if sendErr == nil || !s.treeTol || !errors.Is(sendErr, faults.ErrTransient) || attempt >= b.Attempts {
-			return
-		}
-		if rng == nil {
-			var seed uint64
-			if s.opts.Faults != nil {
-				seed = s.opts.Faults.Seed
-			}
-			rng = stats.Split(seed, uint64(t)*1000+800+uint64(shard))
-		}
+	ledger := s.runner.Ledger()
+	ledger.AddTierUp(env.WireSize())
+	_ = s.tree.leafUp[shard].SendRetry(env, s.opts.Retry, func() {
+		ledger.AddTierUp(env.WireSize())
 		s.rs.digestRetries.Add(1)
 		s.noteShardRetry(shard)
-		time.Sleep(b.Delay(attempt, rng))
-	}
+	})
 }
 
 // awaitAssign receives round t's shard assignment. A nil assignment means no

@@ -21,6 +21,16 @@ func fullRegistry(n int) *Registry {
 	return r
 }
 
+// dispatchOf builds a synchronous round's single-shard dispatch for driving
+// collectUploads directly: the given members sharing delta reference ref.
+func dispatchOf(round int, ref []float64, clients ...int) *transport.ShardAssign {
+	sa := &transport.ShardAssign{Round: round, Ref: ref, Clients: make([]transport.ClientStart, len(clients))}
+	for i, c := range clients {
+		sa.Clients[i].Client = c
+	}
+	return sa
+}
+
 func TestRegistryApplyPending(t *testing.T) {
 	reg, err := NewRegistry(4, []int{0, 1})
 	if err != nil {
@@ -119,7 +129,7 @@ func TestUploadFromUnregisteredClient(t *testing.T) {
 		rx := newReceiver(bus.ServerConn())
 		defer rx.stop()
 		send(bus.ClientConn(2), 2) // never registered
-		_, _, roundErr, err := collectUploads(round, runner, rx, []int{0, 1}, reg, &Options{}, comm.CodecFloat64, nil, false, &roundStats{}, nil)
+		_, _, roundErr, err := collectUploads(runner, rx, dispatchOf(round, nil, 0, 1), reg, &Options{}, comm.CodecFloat64, false, &roundStats{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +148,7 @@ func TestUploadFromUnregisteredClient(t *testing.T) {
 		send(bus.ClientConn(1), 1) // valid
 		rs := &roundStats{}
 		opts := &Options{ClientTimeout: 2 * time.Second}
-		uploads, report, roundErr, err := collectUploads(round, runner, rx, []int{0, 1}, reg, opts, comm.CodecFloat64, nil, true, rs, nil)
+		uploads, report, roundErr, err := collectUploads(runner, rx, dispatchOf(round, nil, 0, 1), reg, opts, comm.CodecFloat64, true, rs, nil)
 		if err != nil || roundErr != nil {
 			t.Fatalf("errs = %v, %v", err, roundErr)
 		}
@@ -184,7 +194,7 @@ func TestRegistrationQueuedMidRound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, report, roundErr, err := collectUploads(round, runner, rx, []int{0, 1}, reg, &Options{}, comm.CodecFloat64, nil, false, &roundStats{}, nil)
+	_, report, roundErr, err := collectUploads(runner, rx, dispatchOf(round, nil, 0, 1), reg, &Options{}, comm.CodecFloat64, false, &roundStats{}, nil)
 	if err != nil || roundErr != nil {
 		t.Fatalf("errs = %v, %v", err, roundErr)
 	}

@@ -207,22 +207,27 @@ func (s *Service) Run(rounds int) (*fl.History, error) {
 			return hist, err
 		}
 	}
-	var err error
-	if s.runner.Async() != nil {
-		err = s.runAsync(rounds)
-	} else {
-		err = s.runSync(rounds)
-	}
+	err := s.run(rounds)
 	// Shutdown drain (see drainRegistrations): registrations still queued in
 	// the receiver must not be lost on quit.
 	s.drainRegistrations()
 	return hist, err
 }
 
-// runSync is the synchronous round loop: barrier hook, fold in pending
-// registrations, sample the cohort, fan out, serve the round, fan in.
-func (s *Service) runSync(rounds int) error {
-	var firstErr error
+// run is the service loop, one iteration per round or async flush: barrier
+// hook, fold in pending registrations, schedule the round's membership (a
+// cohort, or a flush plan whose chosen clients are the cohort), fan out,
+// serve the round through the flat server or the tree's root, fan in, and
+// commit. The wire protocol is the same for both kinds of round: every
+// RoundStart/RoundUpload/RoundEnd of a flush is stamped with the flush
+// index, so the validation ladder applies unchanged. Staleness is a property
+// of the model version a client trained against, not of the envelope — a
+// contribution built on an old global arrives as a current envelope and is
+// weighted by 1/(1+s)^α at close instead of rejected, while a genuinely
+// stale envelope (crash leftovers from a previous flush) is dropped as
+// transport hygiene. Non-chosen clients never see a start signal and stay
+// parked.
+func (s *Service) run(rounds int) error {
 	for i := 0; i < rounds; i++ {
 		t := s.runner.CurrentRound()
 		// Fold registrations in before the gate runs, so a paused service's
@@ -237,12 +242,15 @@ func (s *Service) runSync(rounds int) error {
 		}
 		j2, l2 := s.reg.ApplyPending()
 		joins, leaves = joins+j2, leaves+l2
-		cohort := s.cohortAt(t)
 		s.setStatus(t)
+		cohort, plan, err := s.schedule(t)
+		if err != nil {
+			return err
+		}
 		// Fail fast on a hopeless population instead of opening a round that
 		// can only time out: quorum is checked before any fan-out.
 		if s.opts.MinQuorum > 0 && len(cohort) < s.opts.MinQuorum {
-			return fmt.Errorf("%w: round %d has %d registered online clients, quorum %d",
+			return fmt.Errorf("%w: round %d schedules %d clients, quorum %d",
 				ErrQuorumNotMet, t, len(cohort), s.opts.MinQuorum)
 		}
 		if err := s.preRoundShardQuorum(t); err != nil {
@@ -256,20 +264,22 @@ func (s *Service) runSync(rounds int) error {
 		for _, c := range cohort {
 			s.start[c] <- t
 		}
+		var contributors []int
 		var report *roundReport
 		var serverErr error
 		if s.tree != nil {
 			for _, ch := range s.leafStart {
 				ch <- t
 			}
-			report, serverErr = s.rootRound(t, cohort)
+			contributors, report, serverErr = s.rootRound(t, cohort, plan)
 		} else {
-			report, serverErr = serverRound(t, s.runner, s.tr.server, s.srx, cohort, s.reg, &s.opts, s.tolerant, s.rs)
+			contributors, report, serverErr = s.flatRound(t, cohort, plan)
 		}
 		if serverErr != nil {
 			// Unblock any client still parked on Recv before fanning in.
 			s.closeTransport()
 		}
+		var firstErr error
 		if s.tree != nil {
 			// Leaves finish (fan the round close, report in) before their
 			// clients can; drain them first so a leaf-side failure closes the
@@ -291,8 +301,11 @@ func (s *Service) runSync(rounds int) error {
 		if firstErr != nil {
 			return firstErr
 		}
+		if plan != nil {
+			s.runner.AsyncCommitFlush(plan, contributors)
+		}
 		if s.tolerant || s.treeTol {
-			recordRobustness(t, len(cohort), s.runner, s.rec, &s.opts, report, s.rs, s.fstats.Snapshot().Total()-faultBase)
+			s.recordRobustness(t, len(cohort), report, s.fstats.Snapshot().Total()-faultBase)
 		}
 		if s.dynamic {
 			s.rec.SetChurn(obs.Churn{
@@ -309,6 +322,30 @@ func (s *Service) runSync(rounds int) error {
 		}
 	}
 	return nil
+}
+
+// schedule returns round t's membership. A synchronous round's cohort is the
+// registered population intersected with the availability trace. An async
+// flush asks the engine's planner — the one AsyncPlanFlush/AsyncWeightUploads/
+// AsyncCommitFlush surface the in-process driver uses, so the two cannot
+// diverge — which clients' updates arrive, with what staleness, against
+// which retained global; its chosen clients are the cohort. Under a dynamic
+// population the planner is restricted to the registered clients (the
+// availability trace filters it further); the fixed-fleet path passes nil
+// eligibility and stays byte-identical to the fixed-fleet flushes.
+func (s *Service) schedule(t int) ([]int, *engine.AsyncFlushPlan, error) {
+	if s.runner.Async() == nil {
+		return s.cohortAt(t), nil, nil
+	}
+	var eligible []int
+	if s.dynamic {
+		eligible = s.reg.Active()
+	}
+	plan, err := s.runner.AsyncPlanFlushFrom(t, eligible)
+	if err != nil {
+		return nil, nil, err
+	}
+	return plan.Chosen, plan, nil
 }
 
 // preRoundShardQuorum fails fast when the fault schedule already dooms too

@@ -173,6 +173,10 @@ const (
 	saltLeafCrash
 	saltTierDelayMag
 	saltTierCorruptPos
+	// Retry-jitter salts, one per plane, so a client's backoff stream and
+	// the same-numbered leaf's never coincide.
+	saltRetryJitter
+	saltTierRetryJitter
 )
 
 // mix folds the draw coordinates into one stream label (splitmix64-style
@@ -582,6 +586,43 @@ func (b Backoff) Delay(attempt int, rng *stats.RNG) time.Duration {
 		d = time.Microsecond
 	}
 	return d
+}
+
+// SendRetry sends e, retrying injected transient failures under b's bounded
+// exponential backoff: it returns on success, on any error other than
+// ErrTransient, or when b's attempt budget is spent. onRetry runs before
+// each pause. The jitter stream is keyed by (plan seed, plane,
+// peer, e.Round) through the same salted mix as every fault draw, so no two
+// peers, rounds or planes share a stream and none lands on another RNG
+// consumer's label. Only a plan can inject ErrTransient, so without one this
+// is a single Send.
+func (c *Conn) SendRetry(e *transport.Envelope, b Backoff, onRetry func()) error {
+	b = b.WithDefaults()
+	var rng *stats.RNG
+	for attempt := 1; ; attempt++ {
+		err := c.Send(e)
+		if err == nil || !errors.Is(err, ErrTransient) || attempt >= b.Attempts {
+			return err
+		}
+		if rng == nil {
+			rng = c.retryRNG(e.Round)
+		}
+		onRetry()
+		time.Sleep(b.Delay(attempt, rng))
+	}
+}
+
+// retryRNG returns the conn's retry-jitter stream for one round.
+func (c *Conn) retryRNG(round int) *stats.RNG {
+	salt := saltRetryJitter
+	if c.tier {
+		salt = saltTierRetryJitter
+	}
+	var seed uint64
+	if c.plan != nil {
+		seed = c.plan.Seed
+	}
+	return stats.Split(seed, mix(salt, uint64(c.peer)+1, uint64(int64(round))+2))
 }
 
 // ParsePlan parses a CLI chaos spec like

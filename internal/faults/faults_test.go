@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -565,5 +566,44 @@ func TestParsePlanTierKeys(t *testing.T) {
 	}
 	if (&Plan{TierDelayProb: 0.5}).TierLossy() {
 		t.Error("tier delay alone must not be lossy")
+	}
+}
+
+// TestRetryStreamsDistinctAcrossPeersAndPlanes pins the retry-jitter keying
+// for universes well past 400 ids: every (plane, peer, round) gets its own
+// stream, so client k and leaf k never share one, client 200+k never aliases
+// leaf k, and client 400 at round t does not reuse round t+1's streams —
+// the collisions any linear t*1000+offset+id label band produces once ids
+// outgrow the band. It also drives SendRetry end to end: every injected
+// transient failure is retried and reported.
+func TestRetryStreamsDistinctAcrossPeersAndPlanes(t *testing.T) {
+	plan := &Plan{Seed: 3}
+	const universe, rounds = 1200, 3
+	seen := make(map[uint64]string, 2*universe*rounds)
+	for _, tier := range []bool{false, true} {
+		for peer := 0; peer < universe; peer++ {
+			c := Wrap(newPipe(), plan, peer, nil)
+			c.tier = tier
+			for round := 0; round < rounds; round++ {
+				first := c.retryRNG(round).Uint64()
+				key := fmt.Sprintf("tier=%v peer=%d round=%d", tier, peer, round)
+				if prev, dup := seen[first]; dup {
+					t.Fatalf("%s shares its retry stream with %s", key, prev)
+				}
+				seen[first] = key
+			}
+		}
+	}
+
+	var st Stats
+	retries := 0
+	c := Wrap(newPipe(), &Plan{Seed: 11, SendFailProb: 0.6}, 450, &st)
+	for round := 0; round < 8; round++ {
+		if err := c.SendRetry(env(transport.KindUpload, round, []byte{1}), Backoff{Attempts: 16, Base: time.Microsecond}, func() { retries++ }); err != nil {
+			t.Fatalf("round %d: SendRetry = %v", round, err)
+		}
+	}
+	if fails := int(st.Snapshot().SendFails); retries != fails || retries == 0 {
+		t.Fatalf("retries = %d, injected transient failures = %d; want equal and positive", retries, fails)
 	}
 }

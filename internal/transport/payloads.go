@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 
 	"fedpkd/internal/comm"
@@ -89,6 +90,23 @@ type RoundEnd struct {
 	Codec        uint8
 }
 
+// ErrNonFinite marks a raw float64 payload section carrying a NaN or ±Inf.
+// The packed codecs reject such values with comm.ErrSectionValue; under
+// float64raw one NaN would otherwise spread through the aggregate (a single
+// client's NaN logit turns that sample's aggregated row all-NaN).
+var ErrNonFinite = errors.New("transport: non-finite value")
+
+// checkFinite rejects a raw value section holding NaN or ±Inf (v-v is NaN
+// for both, and 0 for every finite v).
+func checkFinite(section string, vs []float64) error {
+	for i, v := range vs {
+		if v-v != 0 {
+			return fmt.Errorf("transport: %s value %d is %v: %w", section, i, v, ErrNonFinite)
+		}
+	}
+	return nil
+}
+
 // maxWireDim bounds any single dimension decoded off the wire. Gob happily
 // decodes arbitrary ints, so dimension fields must be range-checked before
 // they are multiplied (overflow) or used to size allocations.
@@ -136,7 +154,8 @@ func checkProtos(classes, counts []int32, dim, nvals int) error {
 // comm.CheckSection validation — tag legality against the declared codec,
 // exact length against the declared shape, and the body CRC — so a
 // bit-flipped quantized section is rejected here with a named comm error,
-// never silently dequantized into wrong values.
+// never silently dequantized into wrong values. Raw float64 sections must be
+// finite (ErrNonFinite), matching what the quantized codecs already demand.
 func (w *WirePayload) Validate() error {
 	c := comm.Codec(w.Codec)
 	if !c.Valid() {
@@ -165,6 +184,9 @@ func (w *WirePayload) Validate() error {
 	}
 	if w.HasLogits && !codedLogits {
 		if err := checkLogits(w.Rows, w.Cols, len(w.Logits)); err != nil {
+			return err
+		}
+		if err := checkFinite("logit", w.Logits); err != nil {
 			return err
 		}
 	} else if !w.HasLogits && len(w.Logits) > 0 {
@@ -205,6 +227,9 @@ func (w *WirePayload) Validate() error {
 				return fmt.Errorf("transport: proto class %d out of range (%d classes)", class, w.ProtoNumClasses)
 			}
 		}
+		if err := checkFinite("proto", w.ProtoValues); err != nil {
+			return err
+		}
 	} else if len(w.ProtoValues) > 0 {
 		return fmt.Errorf("transport: %d proto values without a proto block", len(w.ProtoValues))
 	} else if len(w.ProtosEnc) > 0 {
@@ -229,6 +254,9 @@ func (w *WirePayload) Validate() error {
 		}
 	} else if c != comm.CodecFloat64 && len(w.Params) > 0 {
 		return fmt.Errorf("transport: raw param values under codec %s", c)
+	}
+	if err := checkFinite("param", w.Params); err != nil {
+		return err
 	}
 	if w.ParamsCounted < 0 {
 		return fmt.Errorf("transport: negative counted params %d", w.ParamsCounted)

@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"io"
+	"math"
 	"sync"
 	"testing"
 
@@ -254,6 +255,47 @@ func TestPayloadWireRoundtripFloat64Raw(t *testing.T) {
 
 	if got := PayloadToWire(nil); got.HasLogits || got.HasProtos || len(got.Params) != 0 {
 		t.Errorf("nil payload serialized to %+v", got)
+	}
+}
+
+// TestPayloadValidateRejectsNonFinite pins the float64raw finiteness check:
+// a NaN or ±Inf in any raw value section (logits, local logits, prototypes,
+// params) fails Validate with ErrNonFinite, on uploads, round starts and
+// round ends alike, while the clean payload passes.
+func TestPayloadValidateRejectsNonFinite(t *testing.T) {
+	clean := PayloadToWire(testPayload())
+	if err := clean.Validate(); err != nil {
+		t.Fatalf("clean payload: %v", err)
+	}
+	poison := map[string]func(w *WirePayload, v float64){
+		"logits":       func(w *WirePayload, v float64) { w.Logits[1] = v },
+		"local-logits": func(w *WirePayload, v float64) { w.LogitsLocal = true; w.Logits[0] = v },
+		"protos":       func(w *WirePayload, v float64) { w.ProtoValues[2] = v },
+		"params":       func(w *WirePayload, v float64) { w.Params[0] = v },
+	}
+	for name, set := range poison {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			w := PayloadToWire(testPayload())
+			set(&w, v)
+			if err := w.Validate(); !errors.Is(err, ErrNonFinite) {
+				t.Errorf("%s=%v: Validate = %v, want ErrNonFinite", name, v, err)
+			}
+			if _, err := w.ToPayload(); !errors.Is(err, ErrNonFinite) {
+				t.Errorf("%s=%v: ToPayload = %v, want ErrNonFinite", name, v, err)
+			}
+			up := RoundUpload{Round: 1, Client: 2, HasPayload: true, Payload: w}
+			if err := up.Validate(); !errors.Is(err, ErrNonFinite) {
+				t.Errorf("%s=%v: upload Validate = %v, want ErrNonFinite", name, v, err)
+			}
+			start := RoundStart{Round: 1, HasGlobal: true, Global: w}
+			if err := start.Validate(); !errors.Is(err, ErrNonFinite) {
+				t.Errorf("%s=%v: start Validate = %v, want ErrNonFinite", name, v, err)
+			}
+			end := RoundEnd{Round: 1, HasBroadcast: true, Broadcast: w}
+			if err := end.Validate(); !errors.Is(err, ErrNonFinite) {
+				t.Errorf("%s=%v: end Validate = %v, want ErrNonFinite", name, v, err)
+			}
+		}
 	}
 }
 

@@ -43,8 +43,9 @@ type ShardAssign struct {
 	// leaf.
 	Round int
 	Shard int
-	// Flush marks an async flush, which selects the flush-mode validation
-	// ladder at the leaf (the wording and classification PR 7 pinned).
+	// Flush marks an async flush, whose entries carry per-client Start/Ref.
+	// Leaves serve both kinds of round with the same code, so nothing reads
+	// it; it stays part of the encoded assignment.
 	Flush bool
 	// Compact asks the leaf to stream-fold uploads through the algorithm's
 	// CompactReducer instead of retaining them.

@@ -25,7 +25,8 @@ go test -race -count=1 -run 'MatchesInProcess|RunOver' ./internal/distrib/
 
 # Seeded chaos suite: deterministic fault injection (crash/drop/dup/corrupt/
 # sendfail) over bus and TCP with partial-cohort aggregation, retry, and
-# quorum aborts. Crash/restart churns connections and receiver goroutines, so
+# quorum aborts, plus TestChaosLadderRows, which feeds every validation
+# ladder row through sync and async dispatches in both dispositions. Crash/restart churns connections and receiver goroutines, so
 # this too must hold under the race detector (DESIGN.md §9). The unanchored
 # pattern also picks up the TestTreeChaos* tier suite: leaf crashes, digest
 # drop/corrupt/dup/sendfail on the leaf↔root links, shard deadlines and
@@ -37,7 +38,9 @@ go test -race -count=1 -run 'Chaos' ./internal/distrib/
 # Structural invariant of the fault-tolerant root: the root's only receive is
 # the deadline-sliced collector loop — a bare conn.Recv() or a zero-wait
 # rx.recv(0) in root.go would block forever on a lost digest and turn a leaf
-# failure back into a hung round (DESIGN.md §14).
+# failure back into a hung round (DESIGN.md §14). root.go holds all of the
+# root's side of a round: the digest collect and merge, and the open and
+# close steps it shares with the flat server (DESIGN.md §13).
 echo ">> structural check: no deadline-less blocking receive in root.go"
 if grep -nE '\.Recv\(\)|\.recv\(0\)' internal/distrib/root.go; then
     echo "FAIL: internal/distrib/root.go must receive digests only through the deadline-sliced collector; a blocking receive hangs the round on a lost shard (DESIGN.md §14)" >&2
