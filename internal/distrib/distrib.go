@@ -519,15 +519,15 @@ func billFraming(ledger *comm.Ledger, hasPayload, coded bool, wire, raw int) {
 
 // rawWireSize returns the envelope wire size msg would occupy encoded as-is —
 // used to price the float64raw equivalent of a codec-compressed message into
-// the ledger's informational raw columns. Best effort: an encode failure
-// falls back to the given compressed size so raw totals never undercount the
-// wire.
+// the ledger's informational raw columns. It sizes msg without encoding it.
+// Best effort: a sizing failure falls back to the given compressed size so
+// raw totals never undercount the wire.
 func rawWireSize(msg any, fallback int) int {
-	b, err := transport.Encode(msg)
+	n, err := transport.EncodedSize(msg)
 	if err != nil {
 		return fallback
 	}
-	return (&transport.Envelope{Payload: b}).WireSize()
+	return (&transport.Envelope{}).WireSize() + n
 }
 
 // collectUploads is the one upload validation ladder: the flat server and
@@ -678,7 +678,8 @@ func collectUploads(runner *engine.Runner, rx *receiver, sa *transport.ShardAssi
 		if ref == nil {
 			ref = sa.Ref
 		}
-		p, perr := ru.Payload.ToPayloadRef(ref)
+		// ru was validated above and is this collector's own decode.
+		p, perr := ru.Payload.Adopt(ref)
 		if perr != nil {
 			d.reject(&rs.corrupt, perr)
 			continue
@@ -830,7 +831,7 @@ func clientRound(p *clientPeer, t int, runner *engine.Runner, rec *obs.Recorder,
 			// Globals are never delta-coded, so the ref-free decode always
 			// applies; the decoded (quantized) params double as the delta
 			// reference for this client's upload.
-			global, err = startMsg.Global.ToPayload()
+			global, err = startMsg.Global.Adopt(nil)
 		}
 		if err != nil {
 			if d.reject(&rs.corrupt, err) {
@@ -912,7 +913,7 @@ func clientRound(p *clientPeer, t int, runner *engine.Runner, rec *obs.Recorder,
 	if !re.HasBroadcast {
 		return nil
 	}
-	bcast, err := re.Broadcast.ToPayload()
+	bcast, err := re.Broadcast.Adopt(nil) // validated with re above
 	if err != nil {
 		if d.reject(&rs.corrupt, err) {
 			return nil

@@ -9,6 +9,8 @@ import (
 	"fedpkd/internal/dataset"
 	"fedpkd/internal/fl"
 	"fedpkd/internal/fl/engine"
+	"fedpkd/internal/tensor"
+	"fedpkd/internal/transport"
 )
 
 func distribEnv(t *testing.T) *fl.Env {
@@ -220,5 +222,34 @@ func TestRunMatchesInProcessFedPKDInt8(t *testing.T) {
 	}
 	if rawUp < 3*up {
 		t.Errorf("raw-equivalent upload bytes %d vs wire %d: expected at least 3x compression", rawUp, up)
+	}
+}
+
+// TestRawWireSizeIsEncodedLength pins the raw-equivalent billing: a message
+// is priced at exactly the envelope its encoding would fill, and a message
+// that cannot be encoded falls back to the given size.
+func TestRawWireSizeIsEncodedLength(t *testing.T) {
+	p := &engine.Payload{
+		Logits:     tensor.FromSlice(2, 3, []float64{0.5, -1, 2, 0, 3.25, -0.125}),
+		Indices:    []int{4, 9},
+		Params:     []float64{1, -2.5, 1e-300, 7},
+		NumSamples: 12,
+	}
+	w := transport.PayloadToWire(p)
+	for _, msg := range []any{
+		transport.RoundUpload{Round: 3, Client: 2, HasPayload: true, Payload: w},
+		transport.RoundStart{Round: 3, HasGlobal: true, Global: w},
+		transport.RoundEnd{Round: 3, HasBroadcast: true, Broadcast: w},
+	} {
+		b, err := transport.Encode(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := rawWireSize(msg, -1), (&transport.Envelope{Payload: b}).WireSize(); got != want {
+			t.Errorf("rawWireSize(%T) = %d, want the encoded envelope size %d", msg, got, want)
+		}
+	}
+	if got := rawWireSize(make(chan int), 7); got != 7 {
+		t.Errorf("rawWireSize of an unencodable message = %d, want the fallback 7", got)
 	}
 }

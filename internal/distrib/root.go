@@ -330,7 +330,7 @@ func (s *Service) mergeDigests(digests []*transport.ShardDigest, cohorts [][]int
 		if s.tree.topo.Compact {
 			p := &engine.Partial{Shard: i, Compact: true, Weight: d.Weight, Count: d.Count}
 			if d.HasSum {
-				sum, perr := d.Sum.ToPayload()
+				sum, perr := d.Sum.Adopt(nil) // validated with d
 				if perr != nil {
 					fail(perr)
 					continue
@@ -344,7 +344,7 @@ func (s *Service) mergeDigests(digests []*transport.ShardDigest, cohorts [][]int
 		// exact partial is their decoded sequence as-is.
 		p := engine.NewExactPartial(i)
 		for _, su := range d.Uploads {
-			pay, perr := su.Payload.ToPayload()
+			pay, perr := su.Payload.Adopt(nil) // validated with d
 			if perr != nil {
 				fail(perr)
 				break

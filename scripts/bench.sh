@@ -15,13 +15,21 @@
 # inserts + validating merge, at 1k and 10k simulated clients — both
 # measured from the current tree, no frozen baseline.
 #
+# `codec` mode writes BENCH_codec.json: µs/op and KB/op of encoding and
+# decoding an avg-wide-tree-shaped RoundUpload and RoundStart (17,500
+# float64 params), encoding/gob called directly against the exact codec
+# behind transport.Encode/Decode, as median/min/max over REPS runs
+# (BenchmarkCodec in internal/transport; BENCHTIME defaults to 500x here).
+#
 #   BENCHTIME=20x REPS=3 sh scripts/bench.sh
 #   BENCHTIME=50x sh scripts/bench.sh round
+#   REPS=5 sh scripts/bench.sh codec
 set -eu
 
 cd "$(dirname "$0")/.."
 
 MODE="${1:-kernels}"
+CODEC_BENCHTIME="${BENCHTIME:-500x}"
 BENCHTIME="${BENCHTIME:-20x}"
 REPS="${REPS:-3}"
 
@@ -69,8 +77,64 @@ if [ "$MODE" = "round" ]; then
 	echo "wrote $OUT" >&2
 	exit 0
 fi
+if [ "$MODE" = "codec" ]; then
+	OUT="${OUT:-BENCH_codec.json}"
+	echo ">> codec benchmarks, gob vs exact ($REPS runs at $CODEC_BENCHTIME)" >&2
+	RAW=$(go test -run XXX -bench 'BenchmarkCodec/' -benchmem -benchtime "$CODEC_BENCHTIME" \
+		-count "$REPS" ./internal/transport/)
+	{
+		echo '{'
+		echo '  "description": "Wire codec cost on avg-wide-tree-shaped messages (17,500 float64 params): encoding/gob called directly vs the exact codec behind transport.Encode/Decode, which writes and reads the same bytes. Per entry: median/min/max over the runs. Regenerate with scripts/bench.sh codec.",'
+		echo "  \"host\": \"$(go env GOOS)/$(go env GOARCH), $(nproc) cpu\","
+		echo "  \"benchtime\": \"$CODEC_BENCHTIME, $REPS runs\","
+		echo '  "codec": ['
+		# Lines look like: BenchmarkCodec/upload/encode/gob-2  500  576984 ns/op  853314 B/op  44 allocs/op
+		echo "$RAW" | awk '
+			# sorted splits a space-separated list into v, ascending; returns its length.
+			function sorted(list, v,    n, i, j, t) {
+				n = split(list, v, " ")
+				for (i = 2; i <= n; i++) {
+					t = v[i] + 0
+					for (j = i - 1; j >= 1 && v[j] + 0 > t; j--) v[j + 1] = v[j]
+					v[j + 1] = t
+				}
+				return n
+			}
+			function median(list,    v, n) {
+				n = sorted(list, v)
+				return (n % 2) ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2
+			}
+			function stat(list,    v, n) {
+				n = sorted(list, v)
+				return sprintf("{\"median\": %.1f, \"min\": %.1f, \"max\": %.1f}", median(list), v[1], v[n])
+			}
+			$1 ~ /^BenchmarkCodec\// {
+				split($1, p, "/")
+				sub(/-[0-9]+$/, "", p[4])
+				key = p[2] "/" p[3]
+				if (!(key in seen)) { seen[key] = 1; order[++nk] = key }
+				us[key, p[4]] = us[key, p[4]] " " $3 / 1000
+				kb[key, p[4]] = kb[key, p[4]] " " $5 / 1024
+			}
+			END {
+				for (k = 1; k <= nk; k++) {
+					key = order[k]
+					split(key, q, "/")
+					msg = (q[1] == "upload") ? "RoundUpload" : "RoundStart"
+					printf "    {\"message\": \"%s\", \"op\": \"%s\", \"gob_us\": %s, \"exact_us\": %s, \"gob_kb\": %s, \"exact_kb\": %s, \"speedup_median\": %.2f}%s\n", \
+						msg, q[2], stat(us[key, "gob"]), stat(us[key, "exact"]), \
+						stat(kb[key, "gob"]), stat(kb[key, "exact"]), \
+						median(us[key, "gob"]) / median(us[key, "exact"]), (k < nk) ? "," : ""
+				}
+			}'
+		echo '  ]'
+		echo '}'
+	} >"$OUT"
+	echo "wrote $OUT" >&2
+	exit 0
+fi
 if [ "$MODE" != "kernels" ]; then
-	echo "bench.sh: unknown mode '$MODE' (want kernels or round)" >&2
+	echo "bench.sh: unknown mode '$MODE' (want kernels, round or codec)" >&2
 	exit 2
 fi
 

@@ -162,6 +162,13 @@ done
 echo ">> go test -race -count=1 -run 'Codec|Section' ./internal/comm/ ./internal/transport/"
 go test -race -count=1 -run 'Codec|Section' ./internal/comm/ ./internal/transport/
 
+# Differential fuzz of the exact wire codec: for a fixed 10 s budget,
+# FuzzDecode checks that every input the hand-written decoder accepts is
+# accepted by encoding/gob with the same value and is the exact encoder's own
+# output, on top of its decode/validate/reconstruct properties (DESIGN.md §2).
+echo ">> go test -run XXX -fuzz '^FuzzDecode\$' -fuzztime 10s ./internal/transport/"
+go test -run XXX -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/transport/
+
 # The kernel determinism contract (parallel == serial, bit for bit) must hold
 # under real interleaving, so the equivalence, property, and packed-NT/f32
 # suites run again with the race detector and two scheduler threads forcing
