@@ -1,9 +1,11 @@
 package fedpkd
 
 import (
+	"bytes"
 	"testing"
 
 	"fedpkd/internal/expt"
+	"fedpkd/internal/fl/engine"
 )
 
 // Each Benchmark below regenerates one of the paper's tables or figures at
@@ -77,9 +79,14 @@ func BenchmarkExtraFedProto(b *testing.B) { benchExperiment(b, "extra-fedproto")
 // ablation: BatchNorm vs LayerNorm models under FedAvg weight averaging.
 func BenchmarkAblationNormalization(b *testing.B) { benchExperiment(b, "ablation-normalization") }
 
-// BenchmarkFedPKDRound measures one FedPKD communication round in
-// isolation (protocol overhead without the experiment grid).
-func BenchmarkFedPKDRound(b *testing.B) {
+// benchFedPKDRound times one FedPKD communication round in isolation
+// (protocol overhead without the experiment grid) from a fixed state. The
+// run is built, warmed up with one round and snapshotted once; before every
+// op the snapshot is restored outside the timer, so every op is the same
+// second round and ns/op does not depend on b.N. rec, when non-nil, is
+// attached before the warm-up round.
+func benchFedPKDRound(b *testing.B, rec *Recorder) {
+	b.Helper()
 	env, err := NewEnvironment(EnvConfig{
 		Spec:       SynthC10(42),
 		NumClients: 3,
@@ -100,13 +107,35 @@ func BenchmarkFedPKDRound(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	if rec != nil {
+		algo.SetRecorder(rec)
+	}
+	r, err := engine.Of(algo)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := algo.Round(); err != nil {
+		b.Fatalf("warm-up round: %v", err)
+	}
+	var snap bytes.Buffer
+	if err := r.Checkpoint(&snap); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := r.Resume(bytes.NewReader(snap.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 		if err := algo.Round(); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
+
+// BenchmarkFedPKDRound measures one FedPKD communication round.
+func BenchmarkFedPKDRound(b *testing.B) { benchFedPKDRound(b, nil) }
 
 // BenchmarkFedPKDRoundSerialKernels is BenchmarkFedPKDRound with the tensor
 // worker pool pinned to one worker; comparing the two isolates what the
@@ -116,67 +145,15 @@ func BenchmarkFedPKDRound(b *testing.B) {
 func BenchmarkFedPKDRoundSerialKernels(b *testing.B) {
 	SetKernelWorkers(1)
 	defer SetKernelWorkers(0)
-	env, err := NewEnvironment(EnvConfig{
-		Spec:       SynthC10(42),
-		NumClients: 3,
-		TrainSize:  600, TestSize: 300, PublicSize: 200, LocalTestSize: 50,
-		Partition: PartitionConfig{Kind: PartitionDirichlet, Alpha: 0.3},
-		Seed:      42,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	algo, err := NewFedPKD(Config{
-		Env:                 env,
-		ClientPrivateEpochs: 2,
-		ClientPublicEpochs:  1,
-		ServerEpochs:        3,
-		Seed:                42,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := algo.Round(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchFedPKDRound(b, nil)
 }
 
 // BenchmarkFedPKDRoundInstrumented is BenchmarkFedPKDRound with a Recorder
 // attached; comparing the two quantifies the observability overhead.
 func BenchmarkFedPKDRoundInstrumented(b *testing.B) {
-	env, err := NewEnvironment(EnvConfig{
-		Spec:       SynthC10(42),
-		NumClients: 3,
-		TrainSize:  600, TestSize: 300, PublicSize: 200, LocalTestSize: 50,
-		Partition: PartitionConfig{Kind: PartitionDirichlet, Alpha: 0.3},
-		Seed:      42,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	algo, err := NewFedPKD(Config{
-		Env:                 env,
-		ClientPrivateEpochs: 2,
-		ClientPublicEpochs:  1,
-		ServerEpochs:        3,
-		Seed:                42,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
 	rec := NewRecorder("FedPKD")
-	algo.SetRecorder(rec)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := algo.Round(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if len(rec.Traces()) == 0 && b.N > 1 {
+	benchFedPKDRound(b, rec)
+	if len(rec.Traces()) == 0 {
 		b.Fatal("recorder collected no traces")
 	}
 }

@@ -7,9 +7,48 @@ import (
 	"fedpkd/internal/stats"
 )
 
-// benchSizes spans the shapes the training loops actually hit: batch-sized
-// activations (32), layer-sized weights (128), and a larger stress point.
+// benchSizes are square stress shapes: 32 is the training batch, 128 and
+// 256 are larger than any training product (models.FeatureWidth is 48) and
+// show the kernels' cache behaviour. BenchmarkGEMMTrainingShapes measures
+// the shapes the training loops actually run.
 var benchSizes = []int{32, 128, 256}
+
+// trainingShapes are Dense layers as the models run them: batch 32, the
+// 32-wide stem input and 48-wide hidden layers, and the 10-class head.
+var trainingShapes = []struct{ batch, in, out int }{
+	{32, 32, 48},
+	{32, 48, 48},
+	{32, 48, 10},
+}
+
+// BenchmarkGEMMTrainingShapes measures the three products of one Dense
+// training step at each training shape: NN (forward, x·W), TN (weight
+// gradient, xᵀ·dy) and NT (input gradient, dy·Wᵀ).
+func BenchmarkGEMMTrainingShapes(b *testing.B) {
+	for _, s := range trainingShapes {
+		rng := stats.NewRNG(1)
+		x := Randn(rng, s.batch, s.in, 1)
+		w := Randn(rng, s.in, s.out, 1)
+		dy := Randn(rng, s.batch, s.out, 0.1)
+		y, gw, dx := New(s.batch, s.out), New(s.in, s.out), New(s.batch, s.in)
+		shape := fmt.Sprintf("%dx%dto%d", s.batch, s.in, s.out)
+		for _, k := range []struct {
+			name string
+			f    func()
+		}{
+			{"NN", func() { MatMulInto(y, x, w) }},
+			{"TN", func() { MatMulTNInto(gw, x, dy) }},
+			{"NT", func() { MatMulNTInto(dx, dy, w) }},
+		} {
+			b.Run(k.name+"/"+shape, func(b *testing.B) {
+				b.SetBytes(int64(s.batch * s.in * s.out * 8))
+				for i := 0; i < b.N; i++ {
+					k.f()
+				}
+			})
+		}
+	}
+}
 
 func BenchmarkMatMul(b *testing.B) {
 	for _, n := range benchSizes {

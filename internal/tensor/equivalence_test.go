@@ -34,6 +34,8 @@ var eqShapes = [][3]int{
 	{4, 0, 5},    // zero reduction dim
 	{4, 5, 0},    // zero cols
 	{8, 8, 8},
+	{114, 48, 48},  // the smallest 48-wide batch at 2^18 multiply-adds
+	{130, 67, 130}, // large: several NT j-tiles, odd k, partial 4-lane group
 }
 
 // eqOperands builds operands with exact zeros sprinkled in (to exercise the

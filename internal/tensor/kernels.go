@@ -2,22 +2,31 @@ package tensor
 
 // Cache-blocked matmul kernels. Each kernel computes a contiguous panel
 // [lo, hi) of output rows, which is the unit the worker pool shards; panels
-// partition the output, so no element is ever written by two workers.
+// partition the output, so no element is ever written by two workers. The
+// panels make every tiling, row-pairing and zero-skip decision here in Go
+// and run their innermost loops through the row kernels of rowkernels.go.
 //
 // Determinism contract: for every output element the reduction over k runs
-// in one fixed order — ascending k, grouped 4-wide with a sequential tail —
-// that does not depend on the panel boundaries, the tile sizes, or the
-// worker count. Serial (one whole-range panel) and parallel (many panels)
-// launches therefore produce bit-identical results; equivalence_test.go
-// locks this down across shapes and worker counts.
+// in one fixed order — ascending k, grouped 4-wide with a sequential tail
+// (NN, TN), or the 2-way (even + odd) + tail split (NT) — that does not
+// depend on the panel boundaries, the tile sizes, the worker count or the
+// row kernel the CPU selects. The AVX2 row kernels run lanes across output
+// columns j only, with separate multiplies and adds and no fused
+// multiply-add, so each lane performs the generic kernel's operations in
+// its order; they are chosen once at start-up by CPUID, never by an option.
+// Serial (one whole-range panel) and parallel (many panels) launches, and
+// the AVX2 and generic kernels, therefore produce bit-identical results;
+// equivalence_test.go and rowkernels_amd64_test.go lock this down.
 //
 // Blocking parameters. The NN kernel tiles the reduction dimension so a
 // kTileNN x n panel of b stays cache-resident while it is reused by every
-// row of the output panel. The NT kernel tiles b's rows so a jTileNT x k
-// panel of b is reused across the whole output panel. The TN kernel keeps
-// the output panel itself hot (it is weight-gradient-shaped, i.e. small)
-// and streams a and b exactly once. The transpose walks 32x32 tiles so both
-// the source rows and the destination columns stay within a few cache lines.
+// row of the output panel. The NT kernel packs bᵀ once per call into 4-lane
+// panels (packNT) and tiles them so a jTileNT x k slice is reused across
+// the whole output panel; jTileNT is a multiple of 4 so tiles start on a
+// lane group. The TN kernel keeps the output panel itself hot (it is
+// weight-gradient-shaped, i.e. small) and streams a and b exactly once. The
+// transpose walks 32x32 tiles so both the source rows and the destination
+// columns stay within a few cache lines.
 const (
 	kTileNN = 256 // k-rows of b per NN pass
 	jTileNT = 64  // rows of b per NT pass
@@ -71,19 +80,11 @@ func gemmNNPanel(out, a, b *Matrix, lo, hi int) {
 				b3 := b.Data[(k+3)*n:][:n]
 				switch {
 				case zA:
-					for j, v0 := range b0 {
-						orow2[j] += c0*v0 + c1*b1[j] + c2*b2[j] + c3*b3[j]
-					}
+					axpy4(orow2, b0, b1, b2, b3, c0, c1, c2, c3)
 				case zC:
-					for j, v0 := range b0 {
-						orow[j] += a0*v0 + a1*b1[j] + a2*b2[j] + a3*b3[j]
-					}
+					axpy4(orow, b0, b1, b2, b3, a0, a1, a2, a3)
 				default:
-					for j, v0 := range b0 {
-						v1, v2, v3 := b1[j], b2[j], b3[j]
-						orow[j] += a0*v0 + a1*v1 + a2*v2 + a3*v3
-						orow2[j] += c0*v0 + c1*v1 + c2*v2 + c3*v3
-					}
+					axpy4x2(orow, orow2, b0, b1, b2, b3, a0, a1, a2, a3, c0, c1, c2, c3)
 				}
 			}
 			for ; k < kEnd; k++ {
@@ -118,13 +119,8 @@ func gemmNNPanel(out, a, b *Matrix, lo, hi int) {
 				if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
 					continue
 				}
-				b0 := b.Data[k*n:][:n]
-				b1 := b.Data[(k+1)*n:][:n]
-				b2 := b.Data[(k+2)*n:][:n]
-				b3 := b.Data[(k+3)*n:][:n]
-				for j, v0 := range b0 {
-					orow[j] += a0*v0 + a1*b1[j] + a2*b2[j] + a3*b3[j]
-				}
+				axpy4(orow, b.Data[k*n:][:n], b.Data[(k+1)*n:][:n],
+					b.Data[(k+2)*n:][:n], b.Data[(k+3)*n:][:n], a0, a1, a2, a3)
 			}
 			for ; k < kEnd; k++ {
 				av := arow[k]
@@ -185,19 +181,11 @@ func gemmTNPanel(out, a, b *Matrix, lo, hi int, acc bool) {
 			orow2 := out.Row(i + 1)[:n]
 			switch {
 			case zA:
-				for j, v0 := range br0 {
-					orow2[j] += c0*v0 + c1*br1[j] + c2*br2[j] + c3*br3[j]
-				}
+				axpy4(orow2, br0, br1, br2, br3, c0, c1, c2, c3)
 			case zC:
-				for j, v0 := range br0 {
-					orow[j] += a0*v0 + a1*br1[j] + a2*br2[j] + a3*br3[j]
-				}
+				axpy4(orow, br0, br1, br2, br3, a0, a1, a2, a3)
 			default:
-				for j, v0 := range br0 {
-					v1, v2, v3 := br1[j], br2[j], br3[j]
-					orow[j] += a0*v0 + a1*v1 + a2*v2 + a3*v3
-					orow2[j] += c0*v0 + c1*v1 + c2*v2 + c3*v3
-				}
+				axpy4x2(orow, orow2, br0, br1, br2, br3, a0, a1, a2, a3, c0, c1, c2, c3)
 			}
 		}
 		for ; i < hi; i++ {
@@ -205,10 +193,7 @@ func gemmTNPanel(out, a, b *Matrix, lo, hi int, acc bool) {
 			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
 				continue
 			}
-			orow := out.Row(i)[:n]
-			for j, v0 := range br0 {
-				orow[j] += a0*v0 + a1*br1[j] + a2*br2[j] + a3*br3[j]
-			}
+			axpy4(out.Row(i)[:n], br0, br1, br2, br3, a0, a1, a2, a3)
 		}
 	}
 	for ; k < kDim; k++ {
@@ -227,35 +212,17 @@ func gemmTNPanel(out, a, b *Matrix, lo, hi int, acc bool) {
 	}
 }
 
-// dotSplit2 is the NT kernels' per-element reduction: a dot product with a
-// fixed 2-way accumulator split and a fixed combine order, (even + odd) +
-// tail. Every NT code path — the 2x2 register-blocked core and all its
-// remainder edges — computes elements with exactly this shape, so blocking
-// never changes a result bit.
-func dotSplit2(arow, brow []float64) float64 {
-	brow = brow[:len(arow)] // pin equal lengths for bounds-check elimination
-	var s0, s1 float64
-	k := 0
-	for ; k+1 < len(arow); k += 2 {
-		s0 += arow[k] * brow[k]
-		s1 += arow[k+1] * brow[k+1]
-	}
-	var tail float64
-	for ; k < len(arow); k++ {
-		tail += arow[k] * brow[k]
-	}
-	return (s0 + s1) + tail
-}
-
-// gemmNTPanel computes out[lo:hi] = a[lo:hi] * bᵀ. Each element is an
-// independent dot product (see dotSplit2 for the fixed reduction shape).
-// The core walks 2x2 blocks — two output rows against two rows of b — so
-// each streamed pair of operand values feeds four dot products, doubling
-// flops per load; the j tiling keeps a jTileNT x k panel of b resident
-// across the output panel.
-func gemmNTPanel(out, a, b *Matrix, lo, hi int) {
+// gemmNTPanel computes out[lo:hi] = a[lo:hi] * bᵀ from p, the rows of b
+// packed by packNT into 4-lane groups. Each element is an independent dot
+// product with the fixed reduction shape of dot4Generic. Output rows go in
+// pairs through dot4x2, so each loaded panel vector feeds two rows, and the
+// j tiling keeps a jTileNT x k slice of the panel resident across the
+// output panel. The last group of a width that is not a multiple of 4 is
+// computed into a stack buffer and only its real columns are copied out.
+func gemmNTPanel(out, a *Matrix, p []float64, lo, hi int) {
 	kDim := a.Cols
-	nOut := b.Rows
+	nOut := out.Cols
+	var t, t2 [4]float64
 	for jj := 0; jj < nOut; jj += jTileNT {
 		jEnd := jj + jTileNT
 		if jEnd > nOut {
@@ -267,49 +234,28 @@ func gemmNTPanel(out, a, b *Matrix, lo, hi int) {
 			arow2 := a.Row(i + 1)[:kDim]
 			orow := out.Row(i)[:nOut]
 			orow2 := out.Row(i + 1)[:nOut]
-			j := jj
-			for ; j+1 < jEnd; j += 2 {
-				brow := b.Row(j)[:kDim]
-				brow2 := b.Row(j + 1)[:kDim]
-				var s00, s01, s10, s11, s20, s21, s30, s31 float64
-				k := 0
-				for ; k+1 < kDim; k += 2 {
-					a0, a1 := arow[k], arow[k+1]
-					c0, c1 := arow2[k], arow2[k+1]
-					b0, b1 := brow[k], brow[k+1]
-					d0, d1 := brow2[k], brow2[k+1]
-					s00 += a0 * b0
-					s01 += a1 * b1
-					s10 += a0 * d0
-					s11 += a1 * d1
-					s20 += c0 * b0
-					s21 += c1 * b1
-					s30 += c0 * d0
-					s31 += c1 * d1
+			for j := jj; j < jEnd; j += 4 {
+				pg := p[j*kDim:][:4*kDim]
+				if j+4 <= nOut {
+					dot4x2(orow[j:j+4], orow2[j:j+4], arow, arow2, pg)
+					continue
 				}
-				var t0, t1, t2, t3 float64
-				for ; k < kDim; k++ {
-					t0 += arow[k] * brow[k]
-					t1 += arow[k] * brow2[k]
-					t2 += arow2[k] * brow[k]
-					t3 += arow2[k] * brow2[k]
-				}
-				orow[j] = (s00 + s01) + t0
-				orow[j+1] = (s10 + s11) + t1
-				orow2[j] = (s20 + s21) + t2
-				orow2[j+1] = (s30 + s31) + t3
-			}
-			for ; j < jEnd; j++ {
-				brow := b.Row(j)[:kDim]
-				orow[j] = dotSplit2(arow, brow)
-				orow2[j] = dotSplit2(arow2, brow)
+				dot4x2(t[:], t2[:], arow, arow2, pg)
+				copy(orow[j:], t[:])
+				copy(orow2[j:], t2[:])
 			}
 		}
 		for ; i < hi; i++ {
 			arow := a.Row(i)[:kDim]
 			orow := out.Row(i)[:nOut]
-			for j := jj; j < jEnd; j++ {
-				orow[j] = dotSplit2(arow, b.Row(j)[:kDim])
+			for j := jj; j < jEnd; j += 4 {
+				pg := p[j*kDim:][:4*kDim]
+				if j+4 <= nOut {
+					dot4(orow[j:j+4], arow, pg)
+					continue
+				}
+				dot4(t[:], arow, pg)
+				copy(orow[j:], t[:])
 			}
 		}
 	}

@@ -102,16 +102,16 @@ func MatMulNTInto(out, a, b *Matrix) {
 	}
 	mustNotAlias("MatMulNTInto", out, a, b)
 	ops := int64(a.Rows) * int64(a.Cols) * int64(b.Rows)
-	if ops >= minPackNTOps {
-		matMulNTPacked(out, a, b, ops)
-		return
-	}
+	// Pack bᵀ once per call into an arena panel that every row panel reads.
+	pm := GetScratch((b.Rows+3)/4*4, b.Cols)
+	packNT(pm.Data, b)
 	if !useParallel(out.Rows, ops) {
-		gemmNTPanel(out, a, b, 0, out.Rows)
+		gemmNTPanel(out, a, pm.Data, 0, out.Rows)
 		noteSerial(ops)
-		return
+	} else {
+		parallelFor(out.Rows, ops, func(lo, hi int) { gemmNTPanel(out, a, pm.Data, lo, hi) })
 	}
-	parallelFor(out.Rows, ops, func(lo, hi int) { gemmNTPanel(out, a, b, lo, hi) })
+	Release(pm)
 }
 
 // Transpose returns a new matrix that is m transposed.

@@ -8,27 +8,16 @@ import (
 	"fedpkd/internal/stats"
 )
 
-// Satellite suite for the packed-panel NT kernel and the float32 GEMM path:
-// numerical equivalence to the naive oracle, bit-identity across worker
-// counts, bit-identity to the transpose+NN composition the packed path is
-// defined as, the threshold contract that keeps training numerics untouched,
-// and allocation-freedom of the panel pack.
+// Suite for the packed NT path and the float32 GEMM path. Every NT product
+// packs bᵀ into 4-lane arena panels (packNT) before the dot kernels run, so
+// these tests pin: numerical equivalence to the naive oracle, bit-identity
+// across worker counts, and allocation-freedom of the pack.
 
-// forcePackNT drops the packed-NT threshold to 1 so every non-empty NT
-// product takes the packed path, restoring it afterwards.
-func forcePackNT(t *testing.T) {
-	t.Helper()
-	old := minPackNTOps
-	minPackNTOps = 1
-	t.Cleanup(func() { minPackNTOps = old })
-}
-
-// TestPackedNTMatchesNaive checks the packed path (serial, forced for every
-// shape) against the retained naive NT reference with a tight epsilon: the
-// NN-kernel reduction regroups the sum, so bit equality with the dot kernel
-// is not required — numerical agreement is.
+// TestPackedNTMatchesNaive checks the packed NT path (serial) against the
+// retained naive NT reference with a tight epsilon: the 2-way accumulator
+// split regroups the sum, so bit equality with the naive loop is not
+// required — numerical agreement is.
 func TestPackedNTMatchesNaive(t *testing.T) {
-	forcePackNT(t)
 	SetWorkers(1)
 	defer SetWorkers(0)
 	for si, shape := range eqShapes {
@@ -47,40 +36,15 @@ func TestPackedNTMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestPackedNTIsTransposePlusNN pins the packed path's definition: it must
-// be BIT-identical to materializing bᵀ and running the NN kernel, because it
-// is literally that composition on an arena panel.
-func TestPackedNTIsTransposePlusNN(t *testing.T) {
-	forcePackNT(t)
-	SetWorkers(1)
-	defer SetWorkers(0)
-	for si, shape := range eqShapes {
-		m, k, n := shape[0], shape[1], shape[2]
-		if int64(m)*int64(k)*int64(n) == 0 {
-			continue // empty products bypass the packed path
-		}
-		a := eqOperands(uint64(500+si), m, k)
-		b := eqOperands(uint64(501+si), n, k)
-		want := dirty(m, n)
-		MatMulInto(want, a, Transpose(b))
-		got := dirty(m, n)
-		MatMulNTInto(got, a, b)
-		if !bitsEqual(got, want) {
-			t.Errorf("%dx%dx%d: packed NT not bit-identical to transpose+NN", m, k, n)
-		}
-	}
-}
-
 // TestPackedNTParallelBitIdentical is the packed path's half of the
 // determinism contract: for every shape and worker count (including the
-// GOMAXPROCS default), the pooled parallel launch must be bit-identical to
-// the serial one-panel launch.
+// GOMAXPROCS default), the pooled parallel launch over the shared panel must
+// be bit-identical to the serial one-panel launch.
 func TestPackedNTParallelBitIdentical(t *testing.T) {
 	for _, workers := range []int{0, 2, 3, 4, 7} {
 		for si, shape := range eqShapes {
 			m, k, n := shape[0], shape[1], shape[2]
 			t.Run(fmt.Sprintf("w%d/%dx%dx%d", workers, m, k, n), func(t *testing.T) {
-				forcePackNT(t)
 				a := eqOperands(uint64(600+si), m, k)
 				b := eqOperands(uint64(601+si), n, k)
 
@@ -101,44 +65,9 @@ func TestPackedNTParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPackedNTThresholdContract pins the dispatch boundary: below
-// minPackNTOps the NT product must be bit-identical to the dot-product
-// kernel (the path every training shape takes — this is what keeps goldens
-// byte-exact), and at/above the threshold it must be bit-identical to the
-// packed composition.
-func TestPackedNTThresholdContract(t *testing.T) {
-	SetWorkers(1)
-	defer SetWorkers(0)
-	rng := stats.NewRNG(42)
-	// 64^3 = 2^18 = minPackNTOps exactly: the smallest packed product.
-	a := Randn(rng, 64, 64, 1)
-	b := Randn(rng, 64, 64, 1)
-
-	packed := dirty(64, 64)
-	MatMulNTInto(packed, a, b) // default threshold: ops == 1<<18 takes the packed path
-	wantPacked := dirty(64, 64)
-	MatMulInto(wantPacked, a, Transpose(b))
-	if !bitsEqual(packed, wantPacked) {
-		t.Error("ops == minPackNTOps did not take the packed path")
-	}
-
-	old := minPackNTOps
-	minPackNTOps = math.MaxInt64
-	defer func() { minPackNTOps = old }()
-	unpacked := dirty(64, 64)
-	MatMulNTInto(unpacked, a, b)
-	wantDot := dirty(64, 64)
-	gemmNTPanel(wantDot, a, b, 0, 64)
-	if !bitsEqual(unpacked, wantDot) {
-		t.Error("ops < minPackNTOps did not take the dot-product path")
-	}
-	if !unpacked.Equal(packed, 1e-12) {
-		t.Error("packed and dot paths disagree numerically")
-	}
-}
-
 // TestPackedNTAllocFree proves the panel pack stays on the arena: after
-// warmup, the serial packed path performs zero allocations per operation.
+// warmup, the serial NT path performs zero allocations per operation, at a
+// training shape and at a large one.
 func TestPackedNTAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops cached items under the race detector; allocation counts are not meaningful")
@@ -146,16 +75,18 @@ func TestPackedNTAllocFree(t *testing.T) {
 	SetWorkers(1)
 	defer SetWorkers(0)
 	rng := stats.NewRNG(3)
-	// 80^3 = 512000 >= 1<<18: the packed path at the default threshold.
-	a := Randn(rng, 80, 80, 1)
-	b := Randn(rng, 80, 80, 1)
-	out := New(80, 80)
-	MatMulNTInto(out, a, b) // warm the scratch arena
-	allocs := testing.AllocsPerRun(20, func() {
-		MatMulNTInto(out, a, b)
-	})
-	if allocs != 0 {
-		t.Errorf("packed NT steady state allocates %.1f objects/op, want 0", allocs)
+	for _, shape := range [][3]int{{32, 48, 10}, {80, 80, 80}} {
+		m, k, n := shape[0], shape[1], shape[2]
+		a := Randn(rng, m, k, 1)
+		b := Randn(rng, n, k, 1)
+		out := New(m, n)
+		MatMulNTInto(out, a, b) // warm the scratch arena
+		allocs := testing.AllocsPerRun(20, func() {
+			MatMulNTInto(out, a, b)
+		})
+		if allocs != 0 {
+			t.Errorf("%dx%dx%d: NT steady state allocates %.1f objects/op, want 0", m, k, n, allocs)
+		}
 	}
 }
 

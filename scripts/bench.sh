@@ -8,7 +8,12 @@
 # class the current numbers come from, using the best of three interleaved
 # runs (-benchtime=20x rounds, 50x kernels). Keeping them as constants lets
 # the script run without rebuilding the old commit; re-measure them from that
-# commit if the host changes.
+# commit if the host changes. The seed's round benchmark timed one evolving
+# run (round 1..N), while the current one restores a snapshot before every
+# op and times the same second round each time, so the round baseline is
+# indicative, not like for like. The file also records the GEMMs at the
+# training shapes (BenchmarkGEMMTrainingShapes) as median/min/max over REPS
+# runs, with no frozen baseline.
 #
 # `round` mode writes BENCH_round.json instead: the flat server's
 # collect-then-sort reduction against the aggregator tree's per-shard
@@ -36,6 +41,29 @@ REPS="${REPS:-3}"
 ratio() {
 	awk -v a="$1" -v b="$2" 'BEGIN {printf "%.2f", a / b}'
 }
+
+# STATS_AWK holds awk helpers over space-separated value lists: stat(list)
+# prints {"median", "min", "max"} and median(list) the median alone.
+STATS_AWK='
+	# sorted splits a space-separated list into v, ascending; returns its length.
+	function sorted(list, v,    n, i, j, t) {
+		n = split(list, v, " ")
+		for (i = 2; i <= n; i++) {
+			t = v[i] + 0
+			for (j = i - 1; j >= 1 && v[j] + 0 > t; j--) v[j + 1] = v[j]
+			v[j + 1] = t
+		}
+		return n
+	}
+	function median(list,    v, n) {
+		n = sorted(list, v)
+		return (n % 2) ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2
+	}
+	function stat(list,    v, n) {
+		n = sorted(list, v)
+		return sprintf("{\"median\": %.1f, \"min\": %.1f, \"max\": %.1f}", median(list), v[1], v[n])
+	}
+'
 
 # best_of <bench regex> <pkg> — runs REPS times, prints the minimum ns/op.
 best_of() {
@@ -89,25 +117,7 @@ if [ "$MODE" = "codec" ]; then
 		echo "  \"benchtime\": \"$CODEC_BENCHTIME, $REPS runs\","
 		echo '  "codec": ['
 		# Lines look like: BenchmarkCodec/upload/encode/gob-2  500  576984 ns/op  853314 B/op  44 allocs/op
-		echo "$RAW" | awk '
-			# sorted splits a space-separated list into v, ascending; returns its length.
-			function sorted(list, v,    n, i, j, t) {
-				n = split(list, v, " ")
-				for (i = 2; i <= n; i++) {
-					t = v[i] + 0
-					for (j = i - 1; j >= 1 && v[j] + 0 > t; j--) v[j + 1] = v[j]
-					v[j + 1] = t
-				}
-				return n
-			}
-			function median(list,    v, n) {
-				n = sorted(list, v)
-				return (n % 2) ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2
-			}
-			function stat(list,    v, n) {
-				n = sorted(list, v)
-				return sprintf("{\"median\": %.1f, \"min\": %.1f, \"max\": %.1f}", median(list), v[1], v[n])
-			}
+		echo "$RAW" | awk "$STATS_AWK"'
 			$1 ~ /^BenchmarkCodec\// {
 				split($1, p, "/")
 				sub(/-[0-9]+$/, "", p[4])
@@ -171,10 +181,17 @@ $(go test -run XXX -bench 'BenchmarkMatMul(|TN|NT)/' -benchtime 50x ./internal/t
 done
 
 # kern_ns <bench name> — minimum ns/op for one benchmark across the runs.
+# go test appends -GOMAXPROCS to benchmark names on multi-CPU hosts.
 kern_ns() {
-	echo "$KERN" | awk -v name="$1" \
-		'$1 == name { if (best == "" || $3 + 0 < best + 0) best = $3 } END {print best}'
+	echo "$KERN" | awk -v name="$1" '
+		{ n = $1; sub(/-[0-9]+$/, "", n) }
+		n == name { if (best == "" || $3 + 0 < best + 0) best = $3 }
+		END { print best }'
 }
+
+echo ">> training-shape GEMM benchmarks ($REPS runs at 2000x)" >&2
+TRAIN=$(go test -run XXX -bench 'BenchmarkGEMMTrainingShapes/' -benchtime 2000x \
+	-count "$REPS" ./internal/tensor/)
 
 MM_32=$(kern_ns 'BenchmarkMatMul/32x32')
 MM_128=$(kern_ns 'BenchmarkMatMul/128x128')
@@ -221,6 +238,22 @@ entry() {
 	echo ','
 	entry "MatMulNT/256x256" "$BASE_NT_256" "$NT_256"
 	echo ''
+	echo '  ],'
+	echo "  \"training_shapes_benchtime\": \"2000x, $REPS runs\","
+	echo '  "training_shapes": ['
+	# Lines look like: BenchmarkGEMMTrainingShapes/NN/32x48to48-2  2000  13092 ns/op  ...
+	echo "$TRAIN" | awk "$STATS_AWK"'
+		$1 ~ /^BenchmarkGEMMTrainingShapes\// {
+			name = $1
+			sub(/^BenchmarkGEMMTrainingShapes\//, "", name)
+			sub(/-[0-9]+$/, "", name)
+			if (!(name in ns)) order[++n] = name
+			ns[name] = ns[name] " " $3
+		}
+		END {
+			for (i = 1; i <= n; i++)
+				printf "    {\"name\": \"%s\", \"ns_per_op\": %s}%s\n", order[i], stat(ns[order[i]]), (i < n) ? "," : ""
+		}'
 	echo '  ]'
 	echo '}'
 } >"$OUT"

@@ -170,11 +170,21 @@ echo ">> go test -run XXX -fuzz '^FuzzDecode\$' -fuzztime 10s ./internal/transpo
 go test -run XXX -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/transport/
 
 # The kernel determinism contract (parallel == serial, bit for bit) must hold
-# under real interleaving, so the equivalence, property, and packed-NT/f32
+# under real interleaving, so the equivalence, property, packed-NT and f32
 # suites run again with the race detector and two scheduler threads forcing
-# the worker pool to actually overlap panels.
-echo ">> GOMAXPROCS=2 go test -race ./internal/tensor/ (equivalence + property + packed)"
-GOMAXPROCS=2 go test -race -count=1 -run 'Equivalence|Property|Aliased|Parallel|Packed|F32' ./internal/tensor/
+# the worker pool to actually overlap panels; the AVX2-vs-generic row-kernel
+# bit-identity tests ride along (DESIGN.md §6).
+echo ">> GOMAXPROCS=2 go test -race ./internal/tensor/ (equivalence + property + packed + AVX2)"
+GOMAXPROCS=2 go test -race -count=1 -run 'Equivalence|Property|Aliased|Parallel|Packed|F32|AVX2' ./internal/tensor/
+
+# The generic row kernels are the only path off amd64 (and on CPUs without
+# AVX2). A 386 build has no assembly, so it must reproduce the same golden
+# bytes on the generic path; an arm64 vet keeps builds without the assembly
+# compiling.
+echo ">> GOARCH=386 go test -count=1 -run 'TestGoldenHistories\$|Equivalence|Property' . ./internal/tensor/"
+GOARCH=386 go test -count=1 -run 'TestGoldenHistories$|Equivalence|Property' . ./internal/tensor/
+echo ">> GOARCH=arm64 go vet ./internal/tensor/"
+GOARCH=arm64 go vet ./internal/tensor/
 
 # Compile-and-run every kernel benchmark once so perf-path-only code (panel
 # kernels at benchmark shapes, scratch arena reuse) cannot rot unnoticed.
